@@ -22,7 +22,6 @@ import numpy as np
 from . import learner, suites
 from .mdp import MdpFormatError, generate_lipschitz_mdp, load_mdp, save_mdp
 from .planner import GviConvergenceError, gvi, parse_operator
-from .transport import SinkhornConvergenceError
 
 
 class ConfigError(ValueError):
@@ -342,7 +341,6 @@ def main(argv=None) -> int:
         return 2
     except (
         GviConvergenceError,
-        SinkhornConvergenceError,
         learner.TrainingDivergedError,
         ArithmeticError,
     ) as exc:

@@ -1,11 +1,12 @@
 """Dense two-phase simplex solver for small linear programs.
 
-Maximizes ``objective @ x`` over general relational constraints plus
-per-variable bounds.  Everything is converted to equality standard form
-with nonnegative variables, phase 1 drives artificial variables out, and
-phase 2 optimizes the real objective.  The final basis is re-factorized
-against the original data so the returned point is certified feasible
-rather than inherited from accumulated tableau arithmetic.
+Maximizes ``objective @ x`` subject to ``A @ x (relations) rhs`` row by
+row and ``lower <= x <= upper``, all given as arrays.  Everything is
+converted to equality standard form with nonnegative variables, phase 1
+drives artificial variables out, and phase 2 optimizes the real
+objective.  The final basis is re-factorized against the original data
+so the returned point is certified feasible rather than inherited from
+accumulated tableau arithmetic.
 
 Pivoting follows Bland's rule throughout (lowest eligible entering
 index, ratio-test ties broken by lowest basis variable index), which
@@ -25,7 +26,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 LEQ, EQ, GEQ = "<=", "==", ">="
-_RELATIONS = (LEQ, EQ, GEQ)
 
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-9
@@ -34,17 +34,21 @@ _PIVOT_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """maximize objective @ x subject to rows and per-variable bounds.
+    """maximize objective @ x subject to A @ x (relations) rhs, lower <= x <= upper.
 
-    ``constraints`` is a sequence of (row, relation, rhs) with relation in
-    {"<=", "==", ">="}.  ``bounds`` gives one (lower, upper) pair per
-    variable where either side may be None (or +-inf) for unbounded; the
+    ``A`` is an (m, n_vars) matrix, ``relations`` holds one code per row
+    from {"<=", "==", ">="} and ``rhs`` one value per row; a problem
+    without constraints has ``A`` of shape (0, n_vars).  ``lower`` and
+    ``upper`` broadcast to (n_vars,), where -inf / +inf mean no bound; the
     default is free variables.
     """
 
     objective: np.ndarray
-    constraints: tuple
-    bounds: tuple | None = None
+    A: np.ndarray
+    relations: np.ndarray
+    rhs: np.ndarray
+    lower: np.ndarray | float = -np.inf
+    upper: np.ndarray | float = np.inf
 
     def __post_init__(self):
         c = np.array(self.objective, dtype=float).ravel()
@@ -52,43 +56,46 @@ class LpProblem:
             raise ValueError("objective must have at least one variable")
         if not np.all(np.isfinite(c)):
             raise ValueError("objective contains non-finite coefficients")
-        object.__setattr__(self, "objective", c)
-        rows = []
-        for idx, item in enumerate(self.constraints):
-            try:
-                row, rel, rhs = item
-            except (TypeError, ValueError):
-                raise ValueError(f"constraint {idx} is not a (row, relation, rhs) triple")
-            row = np.array(row, dtype=float).ravel()
-            if row.shape[0] != c.shape[0]:
-                raise ValueError(
-                    f"constraint {idx} has {row.shape[0]} coefficients, expected {c.shape[0]}"
-                )
-            if not np.all(np.isfinite(row)) or not np.isfinite(rhs):
-                raise ValueError(f"constraint {idx} contains non-finite coefficients")
-            if rel not in _RELATIONS:
-                raise ValueError(f"constraint {idx} has unknown relation {rel!r}")
-            rows.append((row, rel, float(rhs)))
-        object.__setattr__(self, "constraints", tuple(rows))
-        if self.bounds is not None:
-            bnds = []
-            if len(self.bounds) != c.shape[0]:
-                raise ValueError(
-                    f"got {len(self.bounds)} bound pairs for {c.shape[0]} variables"
-                )
-            for j, (lo, hi) in enumerate(self.bounds):
-                lo = None if lo is None or lo == -np.inf else float(lo)
-                hi = None if hi is None or hi == np.inf else float(hi)
-                if lo is not None and not np.isfinite(lo):
-                    raise ValueError(f"bound for variable {j} is not finite")
-                if hi is not None and not np.isfinite(hi):
-                    raise ValueError(f"bound for variable {j} is not finite")
-                bnds.append((lo, hi))
-            object.__setattr__(self, "bounds", tuple(bnds))
+        nv = c.shape[0]
+        A = np.array(self.A, dtype=float)
+        if A.ndim != 2 or A.shape[1] != nv:
+            raise ValueError(f"constraint matrix {A.shape} needs {nv} coefficients per row")
+        rel = np.array(self.relations, dtype=str).ravel()
+        rhs = np.array(self.rhs, dtype=float).ravel()
+        if rel.shape[0] != A.shape[0] or rhs.shape[0] != A.shape[0]:
+            raise ValueError(
+                f"got {rel.shape[0]} relations and {rhs.shape[0]} right-hand sides "
+                f"for {A.shape[0]} constraint rows"
+            )
+        bad = np.flatnonzero(~(np.isfinite(A).all(axis=1) & np.isfinite(rhs)))
+        if bad.size:
+            raise ValueError(f"constraint {bad[0]} contains non-finite coefficients")
+        bad = np.flatnonzero((rel != LEQ) & (rel != EQ) & (rel != GEQ))
+        if bad.size:
+            raise ValueError(f"constraint {bad[0]} has unknown relation {str(rel[bad[0]])!r}")
+        lo = np.empty(nv)
+        hi = np.empty(nv)
+        try:
+            lo[...] = self.lower
+            hi[...] = self.upper
+        except ValueError:
+            raise ValueError(f"bounds do not broadcast to {nv} variables") from None
+        # NaN fails both comparisons, as does an infinity on the wrong side.
+        bad = np.flatnonzero(~((lo < np.inf) & (hi > -np.inf)))
+        if bad.size:
+            raise ValueError(f"bound for variable {bad[0]} is NaN or infinite on the wrong side")
+        names = ("objective", "A", "relations", "rhs", "lower", "upper")
+        for name, value in zip(names, (c, A, rel, rhs, lo, hi)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_vars(self) -> int:
         return self.objective.shape[0]
+
+
+def _sense(relations):
+    """Per row: +1 for "<=", -1 for ">=", 0 for "=="; the sign of its slack."""
+    return (relations == LEQ).astype(float) - (relations == GEQ)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +119,13 @@ class _Standard:
 
     Each standard column is a signed copy of one original variable:
     x = q + scatter(signs * u over src), which keeps the transform free of
-    dense matrix products.
+    dense matrix products.  ``sense`` is the slack sign of each row.
     """
 
-    def __init__(self, A, b, relations, c, src, signs, q, offset):
+    def __init__(self, A, b, sense, c, src, signs, q, offset):
         self.A = A
         self.b = b
-        self.relations = relations
+        self.sense = sense
         self.c = c
         self.src = src
         self.signs = signs
@@ -134,60 +141,46 @@ class _Standard:
 def _standardize(problem: LpProblem):
     """Shift/split variables to u >= 0 and normalize rows to b >= 0.
 
+    A variable with a lower bound becomes one column shifted by it, one
+    with only an upper bound one negated column, and a free variable a
+    ``+`` and a ``-`` column; both bounds add a "<=" row on the column.
     Returns None when a variable's bounds cross (trivially infeasible).
     """
-    nv = problem.n_vars
-    bounds = problem.bounds or tuple((None, None) for _ in range(nv))
-    src = []
-    signs = []
-    q = np.zeros(nv)
-    upper_rows = []  # (u column, upper value) for two-sided bounds
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None and hi is not None and hi < lo - FEASIBILITY_TOL:
-            return None
-        if lo is not None:
-            if hi is not None:
-                upper_rows.append((len(src), hi - lo))
-            src.append(j)
-            signs.append(1.0)
-            q[j] = lo
-        elif hi is not None:
-            src.append(j)
-            signs.append(-1.0)
-            q[j] = hi
-        else:
-            src.append(j)
-            signs.append(1.0)
-            src.append(j)
-            signs.append(-1.0)
-    src = np.array(src, dtype=int)
-    signs = np.array(signs)
+    lo, hi = problem.lower, problem.upper
+    has_lo, has_hi = lo > -np.inf, hi < np.inf
+    boxed = has_lo & has_hi
+    if np.any(boxed & (hi < lo - FEASIBILITY_TOL)):
+        return None
+    free = ~has_lo & ~has_hi
+    width = 1 + free
+    src = np.repeat(np.arange(problem.n_vars), width)
+    first = np.cumsum(width) - width
+    signs = np.ones(src.shape[0])
+    signs[first[~has_lo & has_hi]] = -1.0
+    signs[first[free] + 1] = -1.0
+    q = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    upper_cols = first[boxed]
     k = src.shape[0]
 
-    m0 = len(problem.constraints)
-    A = np.zeros((m0 + len(upper_rows), k))
-    b = np.zeros(m0 + len(upper_rows))
-    relations = []
-    if m0:
-        A0 = np.vstack([row for row, _, _ in problem.constraints])
-        A[:m0] = A0[:, src] * signs[None, :]
-        b[:m0] = np.array([rhs for _, _, rhs in problem.constraints]) - A0 @ q
-        relations.extend(rel for _, rel, _ in problem.constraints)
-    for r, (col, ub) in enumerate(upper_rows):
-        A[m0 + r, col] = 1.0
-        b[m0 + r] = ub
-        relations.append(LEQ)
+    m0 = problem.A.shape[0]
+    m = m0 + upper_cols.shape[0]
+    A = np.zeros((m, k))
+    b = np.empty(m)
+    A[:m0] = problem.A[:, src]
+    A[:m0] *= signs
+    b[:m0] = problem.rhs - problem.A @ q
+    A[np.arange(m0, m), upper_cols] = 1.0
+    b[m0:] = (hi - lo)[boxed]
+    sense = np.concatenate([_sense(problem.relations), np.ones(m - m0)])
 
-    flip = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}
-    for i in range(A.shape[0]):
-        if b[i] < 0.0:
-            A[i] = -A[i]
-            b[i] = -b[i]
-            relations[i] = flip[relations[i]]
+    flip = b < 0.0
+    A[flip] = -A[flip]
+    b[flip] = -b[flip]
+    sense[flip] = -sense[flip]
 
     c = problem.objective[src] * signs
     offset = float(problem.objective @ q)
-    return _Standard(A, b, relations, c, src, signs, q, offset)
+    return _Standard(A, b, sense, c, src, signs, q, offset)
 
 
 def _run_simplex(tab, basis, ncols):
@@ -216,24 +209,18 @@ def _run_simplex(tab, basis, ncols):
         theta = ratios.min()
         tied = np.flatnonzero(ratios <= theta + 1e-12 * (1.0 + abs(theta)))
         p = int(tied[0]) if tied.size == 1 else int(tied[np.argmin(basis[tied])])
-        piv_row = tab[p]
-        piv_row /= piv_row[col]
-        factors = tab[:, col].copy()
-        factors[p] = 0.0
-        np.multiply(factors[:, None], piv_row[None, :], out=work)
-        np.subtract(tab, work, out=tab)
-        tab[:, col] = 0.0
-        tab[p, col] = 1.0
-        basis[p] = col
+        _pivot(tab, basis, p, col, work)
     raise ArithmeticError("simplex did not terminate within its pivot budget")
 
 
-def _pivot(tab, basis, p, col):
+def _pivot(tab, basis, p, col, work):
+    """Pivot on tab[p, col]; ``work`` is a scratch array shaped like ``tab``."""
     piv_row = tab[p]
     piv_row /= piv_row[col]
     factors = tab[:, col].copy()
     factors[p] = 0.0
-    tab -= factors[:, None] * piv_row[None, :]
+    np.multiply(factors[:, None], piv_row[None, :], out=work)
+    np.subtract(tab, work, out=tab)
     tab[:, col] = 0.0
     tab[p, col] = 1.0
     basis[p] = col
@@ -260,29 +247,24 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if m == 0:
         return _solve_unconstrained(problem, std)
 
-    slack_of_row = np.full(m, -1, dtype=int)
-    ns = 0
-    for i, rel in enumerate(std.relations):
-        if rel != EQ:
-            slack_of_row[i] = k + ns
-            ns += 1
-    art_start = k + ns
-    art_rows = [i for i, rel in enumerate(std.relations) if rel != LEQ]
-    na = len(art_rows)
+    # Columns: structural, one slack per inequality row (+1 for "<=", -1 for
+    # ">="), one artificial per "==" or ">=" row.  "<=" rows start on their
+    # slack, the others on their artificial.
+    slack_rows = np.flatnonzero(std.sense)
+    art_rows = np.flatnonzero(std.sense <= 0.0)
+    art_start = k + slack_rows.shape[0]
+    na = art_rows.shape[0]
     ncols = art_start + na
+    slack_cols = np.arange(k, art_start)
+    art_cols = np.arange(art_start, ncols)
 
     full = np.zeros((m, ncols))
     full[:, :k] = std.A
+    full[slack_rows, slack_cols] = std.sense[slack_rows]
+    full[art_rows, art_cols] = 1.0
     basis = np.empty(m, dtype=int)
-    for i, rel in enumerate(std.relations):
-        if rel == LEQ:
-            full[i, slack_of_row[i]] = 1.0
-            basis[i] = slack_of_row[i]
-        elif rel == GEQ:
-            full[i, slack_of_row[i]] = -1.0
-    for r, i in enumerate(art_rows):
-        full[i, art_start + r] = 1.0
-        basis[i] = art_start + r
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = art_cols
 
     tab = np.zeros((m + 1, ncols + 1))
     tab[:m, :ncols] = full
@@ -307,7 +289,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
                 row = np.abs(tab[p, :art_start])
                 j = int(np.argmax(row))
                 if row[j] > _PIVOT_TOL:
-                    _pivot(tab, basis, p, j)
+                    _pivot(tab, basis, p, j, np.empty_like(tab))
                 else:
                     drop.append(p)
         if drop:
@@ -356,18 +338,16 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
 
 def _certify(problem, x):
-    for idx, (row, rel, rhs) in enumerate(problem.constraints):
-        lhs = float(row @ x)
-        tol = FEASIBILITY_TOL * max(1.0, abs(rhs))
-        if rel == LEQ and lhs > rhs + tol:
-            raise ArithmeticError(f"constraint {idx} violated by {lhs - rhs:.3e}")
-        if rel == GEQ and lhs < rhs - tol:
-            raise ArithmeticError(f"constraint {idx} violated by {rhs - lhs:.3e}")
-        if rel == EQ and abs(lhs - rhs) > tol:
-            raise ArithmeticError(f"constraint {idx} violated by {abs(lhs - rhs):.3e}")
-    if problem.bounds is not None:
-        for j, (lo, hi) in enumerate(problem.bounds):
-            if lo is not None and x[j] < lo - FEASIBILITY_TOL:
-                raise ArithmeticError(f"lower bound on variable {j} violated")
-            if hi is not None and x[j] > hi + FEASIBILITY_TOL:
-                raise ArithmeticError(f"upper bound on variable {j} violated")
+    residual = problem.A @ x - problem.rhs
+    sense = _sense(problem.relations)
+    violation = np.where(sense == 0.0, np.abs(residual), sense * residual)
+    tol = FEASIBILITY_TOL * np.maximum(1.0, np.abs(problem.rhs))
+    bad = np.flatnonzero(violation > tol)
+    if bad.size:
+        raise ArithmeticError(f"constraint {bad[0]} violated by {violation[bad[0]]:.3e}")
+    bad = np.flatnonzero(x < problem.lower - FEASIBILITY_TOL)
+    if bad.size:
+        raise ArithmeticError(f"lower bound on variable {bad[0]} violated")
+    bad = np.flatnonzero(x > problem.upper + FEASIBILITY_TOL)
+    if bad.size:
+        raise ArithmeticError(f"upper bound on variable {bad[0]} violated")

@@ -141,17 +141,10 @@ def wasserstein_primal(mu1: Distribution, mu2: Distribution, space: MetricSpace)
     n = space.n
     if n == 1:
         return 0.0, Coupling(np.ones((1, 1)), mu1.p, mu2.p)
-    cost_vec = space.dist.ravel()
-    constraints = []
-    for i in range(n):
-        row = np.zeros(n * n)
-        row[i * n : (i + 1) * n] = 1.0
-        constraints.append((row, lp.EQ, float(mu1.p[i])))
-    for j in range(n):
-        row = np.zeros(n * n)
-        row[j::n] = 1.0
-        constraints.append((row, lp.EQ, float(mu2.p[j])))
-    problem = lp.LpProblem(-cost_vec, tuple(constraints), tuple((0.0, None) for _ in range(n * n)))
+    # Row i of the plan sums to mu1[i], column j to mu2[j].
+    marginals = np.vstack([np.repeat(np.eye(n), n, axis=1), np.tile(np.eye(n), n)])
+    rhs = np.concatenate([mu1.p, mu2.p])
+    problem = lp.LpProblem(-space.dist.ravel(), marginals, (lp.EQ,) * (2 * n), rhs, lower=0.0)
     sol = lp.solve_lp(problem)
     if sol.status != lp.OPTIMAL:
         raise ArithmeticError(f"transport primal LP reported {sol.status}")
@@ -181,21 +174,16 @@ def wasserstein_dual(mu1: Distribution, mu2: Distribution, space: MetricSpace, c
         pot = DualPotential(ScalarField(np.zeros(1)), float(c_bound), space)
         return 0.0, pot
     w = mu1.p - mu2.p
-    nv = n - 1
-    # Pairs through the pinned point become plain box bounds.
-    bounds = tuple(
-        (-c_bound * space.dist[0, s], c_bound * space.dist[0, s]) for s in range(1, n)
-    )
-    constraints = []
-    for s1 in range(1, n):
-        for s2 in range(1, n):
-            if s1 == s2:
-                continue
-            row = np.zeros(nv)
-            row[s1 - 1] = 1.0
-            row[s2 - 1] = -1.0
-            constraints.append((row, lp.LEQ, float(c_bound * space.dist[s1, s2])))
-    problem = lp.LpProblem(w[1:], tuple(constraints), bounds)
+    # One row f(s1) - f(s2) <= c * d(s1, s2) per ordered pair of unpinned
+    # points, s1-major; pairs through the pinned point become box bounds.
+    s1, s2 = np.nonzero(~np.eye(n - 1, dtype=bool))
+    rows = np.arange(s1.shape[0])
+    pairs = np.zeros((s1.shape[0], n - 1))
+    pairs[rows, s1] = 1.0
+    pairs[rows, s2] = -1.0
+    rhs = c_bound * space.dist[1:, 1:][s1, s2]
+    reach = c_bound * space.dist[0, 1:]
+    problem = lp.LpProblem(w[1:], pairs, (lp.LEQ,) * rows.shape[0], rhs, -reach, reach)
     sol = lp.solve_lp(problem)
     if sol.status != lp.OPTIMAL:
         raise ArithmeticError(f"transport dual LP reported {sol.status}")
