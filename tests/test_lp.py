@@ -252,6 +252,19 @@ class TestSolutionContracts:
             assert a.objective_value == b.objective_value
             assert np.array_equal(a.duals, b.duals)
 
+    def test_redundant_equality_row_is_dropped(self):
+        # max -x1 - 2 x2 on x1 + x2 == 2 (stated twice), x1 - x2 <= 1, x >= 0.
+        # By hand: x = (1.5, 0.5), value -2.5, and the prices -1.5 for the
+        # equality and 0.5 for the inequality solve -1 = y1 + y2, -2 = y1 - y2.
+        A = [[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]]
+        sol = solve([-1.0, -2.0], A, [lp.EQ, lp.EQ, lp.LEQ], [2.0, 2.0, 1.0], lower=0.0)
+        assert sol.status == lp.OPTIMAL
+        assert sol.x == pytest.approx([1.5, 0.5], abs=1e-12)
+        assert sol.objective_value == pytest.approx(-2.5, abs=1e-12)
+        assert sol.duals.shape == (2,)
+        assert sol.duals == pytest.approx([-1.5, 0.5], abs=1e-12)
+        assert sol.dual_objective_value == pytest.approx(-2.5, abs=1e-12)
+
     def test_degenerate_problem_terminates(self):
         # many redundant rows through the same vertex
         A = [[1.0, 1.0]] * 6 + [[1.0, 0.0]] * 4

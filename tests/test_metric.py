@@ -52,6 +52,12 @@ class TestMetricSpace:
         with pytest.raises(MetricError, match="triangle"):
             MetricSpace.from_matrix(d)
 
+    def test_triangle_violation_names_the_pair(self):
+        d = MetricSpace.unit_line(6).dist.copy()
+        d[1, 4] = d[4, 1] = 3.5  # only the pair (1, 4) is longer than a detour
+        with pytest.raises(MetricError, match=r"pair \(1, 4\)"):
+            MetricSpace.from_matrix(d)
+
     def test_non_finite_rejected(self):
         with pytest.raises(MetricError):
             MetricSpace.from_matrix([[0.0, np.inf], [np.inf, 0.0]])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -170,6 +172,26 @@ class TestDual:
             primal, _ = wasserstein_primal(mu1, mu2, sp)
             dual, _ = wasserstein_dual(mu1, mu2, sp, 1.0)
             assert abs(primal - dual) <= 1e-6
+
+
+def test_dual_lp_memory_stays_near_one_tableau():
+    # The n = 20 dual has k = n - 1 structural columns and m pair and box
+    # rows; its dense tableau is (m + 1) x (k + m + 1) floats.  The solver
+    # may hold that tableau and one scratch buffer of the same size.
+    n = 20
+    rng = np.random.default_rng(3)
+    space = random_metric_space(rng, n, "plane")
+    mu1 = random_distribution(rng, n, allow_zeros=False)
+    mu2 = random_distribution(rng, n, allow_zeros=False)
+    k, m = n - 1, (n - 1) * (n - 2) + (n - 1)
+    tableau_bytes = (m + 1) * (k + m + 1) * 8
+    tracemalloc.start()
+    try:
+        wasserstein_dual(mu1, mu2, space, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * tableau_bytes
 
 
 def test_dual_potential_invariant_enforced():
