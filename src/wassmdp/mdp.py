@@ -14,7 +14,6 @@ import numpy as np
 from .metric import (
     LipschitzReport,
     MetricSpace,
-    ScalarField,
     space_from_json,
     uniform_lipschitz_constant,
 )
@@ -103,8 +102,7 @@ class KernelLipschitzReport:
 
 def reward_lipschitz(mdp: FiniteMdp) -> LipschitzReport:
     """Uniform Lipschitz constant of the reward columns over the state metric."""
-    fields = [ScalarField(mdp.reward[:, a]) for a in range(mdp.n_actions)]
-    return uniform_lipschitz_constant(fields, mdp.space)
+    return uniform_lipschitz_constant(mdp.reward.T, mdp.space)
 
 
 def kernel_lipschitz(mdp: FiniteMdp) -> KernelLipschitzReport:
@@ -220,9 +218,7 @@ def generate_lipschitz_mdp(
 
     reward = rng.uniform(-1.0, 1.0, size=(n, m))
     reward = np.clip(reward, -1.0, 1.0)
-    k0 = uniform_lipschitz_constant(
-        [ScalarField(reward[:, a]) for a in range(m)], space
-    ).constant
+    k0 = uniform_lipschitz_constant(reward.T, space).constant
     if k0 > 0.0:
         reward = reward * (reward_lipschitz_target / k0)
 

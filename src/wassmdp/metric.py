@@ -9,6 +9,7 @@ checks tight rather than estimated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass
 
@@ -39,7 +40,9 @@ class MetricSpace:
     rejected at construction so that every pairwise ratio downstream is
     well defined.  The triangle-inequality check takes O(n^3) time and
     O(n^2) memory and can be skipped by the embedded-space constructors,
-    where it holds by construction.
+    where it holds by construction.  The pairs i < j and their distances
+    are gathered once per space, on first use, and kept: O(n^2) memory
+    that every later Lipschitz measurement on the space reuses.
     """
 
     dist: np.ndarray
@@ -88,6 +91,15 @@ class MetricSpace:
     @property
     def n(self) -> int:
         return self.dist.shape[0]
+
+    @functools.cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (iu, ju, d): the pairs i < j in triu order and dist[iu, ju]."""
+        iu, ju = np.triu_indices(self.n, k=1)
+        d = self.dist[iu, ju]
+        for arr in (iu, ju, d):
+            arr.setflags(write=False)
+        return iu, ju, d
 
     @classmethod
     def from_matrix(cls, dist, labels=None) -> "MetricSpace":
@@ -207,11 +219,10 @@ def lipschitz_constant(f, space: MetricSpace) -> LipschitzReport:
     pairs and reports 0.
     """
     v = field_values(f, space.n)
-    n = space.n
-    if n == 1:
+    if space.n == 1:
         return LipschitzReport(0.0, (0, 0))
-    iu, ju = np.triu_indices(n, k=1)
-    ratios = np.abs(v[iu] - v[ju]) / space.dist[iu, ju]
+    iu, ju, d = space.pairs
+    ratios = np.abs(v[iu] - v[ju]) / d
     k = int(np.argmax(ratios))
     return LipschitzReport(float(ratios[k]), (int(iu[k]), int(ju[k])))
 
@@ -219,8 +230,9 @@ def lipschitz_constant(f, space: MetricSpace) -> LipschitzReport:
 def uniform_lipschitz_constant(family, space: MetricSpace) -> LipschitzReport:
     """Largest per-member Lipschitz constant over a family of fields.
 
-    The witness records both the achieving pair and the index of the
-    maximizing family member.
+    Members are anything ``lipschitz_constant`` takes, so the columns of
+    a table ``q`` can be passed as ``q.T``.  The witness records both the
+    achieving pair and the index of the maximizing family member.
     """
     members = list(family)
     if not members:

@@ -173,12 +173,13 @@ def gvi(
         if in_place:
             diff = 0.0
             q = q.copy()
+            v_now = _apply_rows(op, q)
             for s in range(n):
                 for a in range(m):
-                    v_now = _apply_rows(op, q)
                     new = r[s, a] + gamma * float(mdp.transition[s, a] @ v_now)
                     diff = max(diff, abs(new - q[s, a]))
                     q[s, a] = new
+                    v_now[s] = _apply_rows(op, q[s : s + 1])[0]  # only row s changed
         else:
             v_now = _apply_rows(op, q)
             q_next = r + gamma * (t_flat @ v_now).reshape(n, m)

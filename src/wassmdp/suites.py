@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mdp import FiniteMdp, generate_lipschitz_mdp
-from .metric import MetricSpace, ScalarField, lipschitz_constant, uniform_lipschitz_constant
+from .metric import MetricSpace, lipschitz_constant, uniform_lipschitz_constant
 from .planner import MAX, MEAN, BackupOperator, apply_operator, eps_greedy, gvi, mellowmax, operator_spec
 from .transport import Distribution, wasserstein_dual, wasserstein_primal
 from .vaml import holder_pinsker_bounds, value_lipschitz_bound, verify_equivalence
@@ -214,15 +214,13 @@ def theorem_suite(
 
             def on_sweep(_it, q, _diff, mdp=mdp, kr=kr, kw=kw, state=state):
                 nonlocal recursion_max
-                cols = [ScalarField(q[:, a]) for a in range(mdp.n_actions)]
-                kq = uniform_lipschitz_constant(cols, mdp.space).constant
+                kq = uniform_lipschitz_constant(q.T, mdp.space).constant
                 allowed = kr + mdp.gamma * kw * state["prev"]
                 recursion_max = max(recursion_max, kq - allowed)
                 state["prev"] = kq
 
             result = gvi(mdp, op, delta=delta, on_sweep=on_sweep)
-            cols = [ScalarField(result.q.q[:, a]) for a in range(mdp.n_actions)]
-            kq = uniform_lipschitz_constant(cols, mdp.space).constant
+            kq = uniform_lipschitz_constant(result.q.q.T, mdp.space).constant
             kv = lipschitz_constant(result.v, mdp.space).constant
             viol = (max(kq, kv) - bound) / (1.0 + bound)
             if viol > max_violation:

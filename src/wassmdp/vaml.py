@@ -149,8 +149,7 @@ def verify_value_lipschitz(
     """Run GVI and compare the fixed point's measured smoothness to the bound."""
     bound = value_lipschitz_bound(mdp).c
     result = gvi(mdp, op, delta=delta)
-    fields = [ScalarField(result.q.q[:, a]) for a in range(mdp.n_actions)]
-    kq = uniform_lipschitz_constant(fields, mdp.space).constant
+    kq = uniform_lipschitz_constant(result.q.q.T, mdp.space).constant
     kv = lipschitz_constant(result.v, mdp.space).constant
     slack = 1e-8 * (1.0 + bound)
     passed = kq <= bound + slack and kv <= bound + slack

@@ -13,6 +13,7 @@ from wassmdp.metric import (
     space_from_json,
     uniform_lipschitz_constant,
 )
+from wassmdp.suites import random_metric_space
 
 
 def brute_force_constant(values, dist):
@@ -24,6 +25,22 @@ def brute_force_constant(values, dist):
             if i != j:
                 best = max(best, abs(values[i] - values[j]) / dist[i, j])
     return best
+
+
+def triu_scan(values, dist):
+    """Independent oracle: (constant, witness) by a double loop over i < j.
+
+    A later pair replaces the best only when its ratio is strictly larger,
+    so ties go to the first pair in triu order.
+    """
+    n = len(values)
+    best, witness = -1.0, (0, 0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ratio = abs(float(values[i]) - float(values[j])) / float(dist[i, j])
+            if ratio > best:
+                best, witness = ratio, (i, j)
+    return (max(best, 0.0), witness)
 
 
 class TestMetricSpace:
@@ -172,6 +189,54 @@ class TestLipschitzConstant:
         sp = MetricSpace.unit_line(6)
         rev = lipschitz_constant(f[::-1], sp)
         assert rev.constant == pytest.approx(lipschitz_constant(f, sp).constant, abs=1e-15)
+
+
+class TestCachedPairs:
+    def test_matches_double_loop_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            n = int(rng.integers(2, 13))
+            sp = random_metric_space(rng, n, "closure")
+            # small integers on half the draws, so equal ratios are common
+            if rng.random() < 0.5:
+                f = rng.normal(size=n)
+            else:
+                f = rng.integers(-2, 3, size=n).astype(float)
+            rep = lipschitz_constant(f, sp)
+            assert (rep.constant, rep.witness) == triu_scan(f, sp.dist)
+            line = MetricSpace.unit_line(n)
+            rep = lipschitz_constant(f, line)
+            assert (rep.constant, rep.witness) == triu_scan(f, line.dist)
+
+    def test_tie_goes_to_first_pair_in_triu_order(self):
+        # ratios: (0,1) 0, (0,2) 1/2, (0,3) 2/3, then (1,2), (1,3), (2,3) all 1
+        sp = MetricSpace.unit_line(4)
+        rep = lipschitz_constant([0.0, 0.0, 1.0, 2.0], sp)
+        assert rep.constant == 1.0
+        assert rep.witness == (1, 2)
+        assert triu_scan([0.0, 0.0, 1.0, 2.0], sp.dist) == (1.0, (1, 2))
+
+    def test_pairs_are_cached_and_read_only(self):
+        sp = MetricSpace.unit_line(5)
+        iu, ju, d = sp.pairs
+        assert sp.pairs[0] is iu and sp.pairs[1] is ju and sp.pairs[2] is d
+        assert list(zip(iu, ju)) == [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        assert np.array_equal(d, sp.dist[iu, ju])
+        for arr in (iu, ju, d):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_array_rows_match_scalar_field_family(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            n, m = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+            sp = random_metric_space(rng, n, "closure")
+            q = rng.normal(size=(n, m))
+            if rng.random() < 0.5:
+                q[:, -1] = q[:, 0]  # a tied member: the first one wins
+            rows = uniform_lipschitz_constant(q.T, sp)
+            fields = uniform_lipschitz_constant([ScalarField(q[:, a]) for a in range(m)], sp)
+            assert rows == fields
 
 
 class TestUniformLipschitz:

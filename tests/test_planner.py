@@ -10,6 +10,7 @@ from wassmdp.planner import (
     BackupOperator,
     GviConvergenceError,
     QFunction,
+    _apply_rows,
     apply_operator,
     eps_greedy,
     evaluate_policy,
@@ -49,6 +50,25 @@ def naive_value_iteration(mdp, sweeps=4000):
                 nxt[s, a] = mdp.reward[s, a] + mdp.gamma * np.dot(mdp.transition[s, a], v)
         q = nxt
     return q
+
+
+def in_place_reference(mdp, op, delta, max_iter=100_000):
+    """The earlier in-place loop, which re-applies the backup to the whole
+    table before every cell; kept as the oracle for the incremental one."""
+    n, m = mdp.n_states, mdp.n_actions
+    q = np.zeros((n, m))
+    for sweep in range(1, max_iter + 1):
+        diff = 0.0
+        q = q.copy()
+        for s in range(n):
+            for a in range(m):
+                v_now = _apply_rows(op, q)
+                new = mdp.reward[s, a] + mdp.gamma * float(mdp.transition[s, a] @ v_now)
+                diff = max(diff, abs(new - q[s, a]))
+                q[s, a] = new
+        if diff < delta:
+            return q, sweep, diff
+    raise AssertionError("reference in-place GVI did not converge")
 
 
 class TestOperatorConstruction:
@@ -216,6 +236,17 @@ class TestGvi:
         inplace = gvi(mdp, MAX, delta=1e-11, in_place=True)
         assert np.abs(sync.q.q - inplace.q.q).max() <= 1e-9
         assert inplace.iterations <= sync.iterations
+
+    def test_in_place_is_bit_identical_to_full_table_backup(self):
+        # m = 9 puts each row's mean past numpy's 8-element unrolled summation
+        for n, m, seed in ((6, 3, 15), (5, 9, 16)):
+            mdp = generate_lipschitz_mdp(n, m, 0.9, 0.5, seed=seed, measure=False)
+            for op in (MAX, MEAN, eps_greedy(0.3), mellowmax(10.0)):
+                q, iterations, final_diff = in_place_reference(mdp, op, 1e-10)
+                res = gvi(mdp, op, delta=1e-10, in_place=True)
+                assert np.array_equal(res.q.q, q)
+                assert res.iterations == iterations
+                assert res.final_diff == final_diff
 
     def test_max_iter_exceeded_raises_with_diff(self):
         mdp = self_loop_mdp(1.0, 0.9)

@@ -1,9 +1,11 @@
 import numpy as np
 from dataclasses import replace
 
-from wassmdp.mdp import FiniteMdp, kernel_lipschitz, reward_lipschitz
+from wassmdp.mdp import FiniteMdp, generate_lipschitz_mdp, kernel_lipschitz, reward_lipschitz
 from wassmdp.metric import MetricSpace
+from wassmdp.planner import gvi
 from wassmdp.suites import (
+    _default_operator_grid,
     cell_rng,
     duality_suite,
     equivalence_suite,
@@ -29,6 +31,41 @@ def stretch_mdp(gamma=0.9):
         mdp,
         measured_kernel_constant=kernel_lipschitz(mdp).constant,
         measured_reward_constant=reward_lipschitz(mdp).constant,
+    )
+
+
+# On this draw, multiplying by 1/dist in place of dividing by dist moves the
+# suite's recursion excess; most draws are blind to a one-ulp change.
+SWEEP_CHECK_SEED = 24
+
+
+def stay_mdp(seed):
+    """One action that keeps every state in place, on random planar points.
+
+    K_W = 1 and K(Q) grows exactly as fast as the recursion allows, so
+    the per-sweep excess is pure rounding error.
+    """
+    rng = np.random.default_rng(seed)
+    n = 7
+    t = np.zeros((n, 1, n))
+    t[np.arange(n), 0, np.arange(n)] = 1.0
+    space = MetricSpace.grid2d(rng.uniform(0.0, 3.0, (n, 2)))
+    mdp = FiniteMdp(space, rng.uniform(-1.0, 1.0, (n, 1)), t, 0.9)
+    return replace(
+        mdp,
+        measured_kernel_constant=kernel_lipschitz(mdp).constant,
+        measured_reward_constant=reward_lipschitz(mdp).constant,
+    )
+
+
+def triu_scan_constant(q, dist):
+    """Uniform Lipschitz constant of the columns of q, by a double loop over i < j."""
+    n = q.shape[0]
+    return max(
+        abs(q[i, a] - q[j, a]) / dist[i, j]
+        for a in range(q.shape[1])
+        for i in range(n)
+        for j in range(i + 1, n)
     )
 
 
@@ -77,6 +114,24 @@ class TestTheoremSuite:
         assert rep.passed
         assert len(rep.skipped) == 1
         assert rep.worst is not None
+
+    def test_sweep_check_equals_double_loop_recursion_exactly(self):
+        mdps = [generate_lipschitz_mdp(6, 3, 0.9, 0.5, seed=7), stay_mdp(SWEEP_CHECK_SEED)]
+        excess = []
+        for mdp in mdps:
+            kr, kw = mdp.measured_reward_constant, mdp.measured_kernel_constant
+            for op in _default_operator_grid():
+                prev = [0.0]
+
+                def on_sweep(_it, q, _diff, mdp=mdp, kr=kr, kw=kw, prev=prev):
+                    kq = triu_scan_constant(q, mdp.space.dist)
+                    excess.append(kq - (kr + mdp.gamma * kw * prev[0]))
+                    prev[0] = kq
+
+                gvi(mdp, op, delta=1e-10, on_sweep=on_sweep)
+        rep = theorem_suite(seed=0, trials=2, mdps=mdps)
+        assert max(excess) > 0.0  # rounding error, so every bit of K(Q) counts
+        assert rep.details["recursion_max_excess"] == max(excess)
 
 
 class TestReports:
