@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -193,9 +194,10 @@ class TestGridSearchOracle:
 
 
 class TestSolutionContracts:
-    def _random_problem(self, rng):
-        nv = int(rng.integers(2, 6))
-        nc = int(rng.integers(1, 6))
+    @staticmethod
+    def _random_problem(rng, nv=None, nc=None):
+        nv = int(rng.integers(2, 6)) if nv is None else nv
+        nc = int(rng.integers(1, 6)) if nc is None else nc
         A = np.empty((nc, nv))
         relations = []
         rhs = np.empty(nc)
@@ -265,12 +267,91 @@ class TestSolutionContracts:
         assert sol.duals == pytest.approx([-1.5, 0.5], abs=1e-12)
         assert sol.dual_objective_value == pytest.approx(-2.5, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "objective, A, relations, rhs, lower, status, pivots",
+        [
+            # No artificials; phase 2 brings x1 in under Bland's rule.
+            ([1.0, 1.0], [[1.0, 1.0]], [lp.LEQ], [1.0], 0.0, lp.OPTIMAL, (0, 1)),
+            # x1 replaces the artificial, then x2 replaces x1.
+            ([1.0, 2.0], [[1.0, 1.0]], [lp.EQ], [2.0], 0.0, lp.OPTIMAL, (1, 1)),
+            # Phase 1 starts optimal with the artificial basic at level 0;
+            # the one pivot is the drive-out that brings x1 in.
+            ([0.0, 0.0], [[-1.0, -1.0]], [lp.EQ], [0.0], 0.0, lp.OPTIMAL, (1, 0)),
+            ([1.0], [[1.0], [1.0]], [lp.LEQ, lp.GEQ], [1.0, 2.0], -INF, lp.INFEASIBLE, (1, 0)),
+            ([1.0], [[1.0]], [lp.GEQ], [0.0], 0.0, lp.UNBOUNDED, (1, 0)),
+        ],
+        ids=["phase-2-only", "both-phases", "drive-out", "infeasible", "unbounded"],
+    )
+    def test_pivot_counts_per_phase(self, objective, A, relations, rhs, lower, status, pivots):
+        sol = solve(objective, A, relations, rhs, lower=lower)
+        assert sol.status == status
+        assert sol.pivots == pivots
+
     def test_degenerate_problem_terminates(self):
         # many redundant rows through the same vertex
         A = [[1.0, 1.0]] * 6 + [[1.0, 0.0]] * 4
         sol = solve([1.0, 1.0], A, [lp.LEQ] * 10, [1.0] * 10, lower=0.0)
         assert sol.status == lp.OPTIMAL
         assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
+
+
+def fingerprint(sol):
+    """Status, pivot counts and the bytes of every returned number."""
+    numbers = (sol.x, sol.objective_value, sol.duals, sol.dual_objective_value)
+    return (sol.status, sol.pivots) + tuple(
+        None if v is None else np.asarray(v, dtype=float).tobytes() for v in numbers
+    )
+
+
+class TestBlockPivot:
+    # A gate of 0 sends every pivot through the block update, a gate above
+    # any tableau through the dense one.  Both must return the same bits
+    # after the same Bland pivot sequence, and leave each phase's final
+    # tableau equal up to the sign of a zero.
+    DENSE_ONLY = 2**62
+
+    def test_random_lps_match_dense_path_bytewise(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        problems = [TestSolutionContracts._random_problem(rng) for _ in range(200)]
+        # The same rows on free variables add split columns and unbounded LPs.
+        problems += [lp.LpProblem(p.objective, p.A, p.relations, p.rhs) for p in problems[:60]]
+        # 40 rows on 100 boxed variables make 140 standard-form rows and a
+        # tableau of 32k-37k elements, which the default gate sends through
+        # the block update.
+        problems += [TestSolutionContracts._random_problem(rng, 100, 40) for _ in range(3)]
+
+        sizes, tableaux = [], []
+        pivot, run_simplex = lp._pivot, lp._run_simplex
+
+        def recording_pivot(tab, *args):
+            sizes.append(tab.size)
+            pivot(tab, *args)
+
+        def recording_run(tab, *args):
+            result = run_simplex(tab, *args)
+            # Adding +0.0 turns -0.0 into +0.0, the one difference allowed.
+            tableaux.append(hashlib.sha256((tab + 0.0).tobytes()).digest())
+            return result
+
+        monkeypatch.setattr(lp, "_pivot", recording_pivot)
+        monkeypatch.setattr(lp, "_run_simplex", recording_run)
+
+        def solve_all(gate):
+            monkeypatch.setattr(lp, "_BLOCK_MIN_SIZE", gate)
+            sizes.clear()
+            tableaux.clear()
+            return [fingerprint(lp.solve_lp(problem)) for problem in problems], list(tableaux)
+
+        default = solve_all(lp._BLOCK_MIN_SIZE)
+        assert min(sizes) < lp._BLOCK_MIN_SIZE <= max(sizes)
+        assert len(sizes) == sum(sum(f[1]) for f in default[0])
+        block = solve_all(0)
+        dense = solve_all(self.DENSE_ONLY)
+        assert block == dense
+        assert default == dense
+        solutions = dense[0]
+        assert {f[0] for f in solutions} == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+        assert all(f[0] == lp.OPTIMAL and f[1][1] > 100 for f in solutions[-3:])
 
 
 def standardize_by_rows(problem):

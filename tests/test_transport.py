@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from wassmdp import lp
 from wassmdp.metric import MetricSpace, lipschitz_constant
 from wassmdp.suites import cell_rng, random_distribution, random_metric_space
 from wassmdp.transport import (
@@ -192,6 +193,37 @@ def test_dual_lp_memory_stays_near_one_tableau():
     finally:
         tracemalloc.stop()
     assert peak < 3 * tableau_bytes
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_block_pivots_match_dense_pivots_bytewise(n, monkeypatch):
+    # lp._pivot updates only the nonzero block of tableaux from
+    # lp._BLOCK_MIN_SIZE elements on; a gate of 0 forces that path on every
+    # pivot and a gate above any tableau forces the dense update.
+    rng = np.random.default_rng(100 + n)
+    space = random_metric_space(rng, n, "plane")
+    mu1 = random_distribution(rng, n, allow_zeros=False)
+    mu2 = random_distribution(rng, n)
+    solve = lp.solve_lp
+
+    def run(gate):
+        pivots = []
+
+        def recording_solve(problem):
+            sol = solve(problem)
+            pivots.append(sol.pivots)
+            return sol
+
+        monkeypatch.setattr(lp, "_BLOCK_MIN_SIZE", gate)
+        monkeypatch.setattr(lp, "solve_lp", recording_solve)
+        cost, plan = wasserstein_primal(mu1, mu2, space)
+        value, potential = wasserstein_dual(mu1, mu2, space, 1.0)
+        numbers = (np.float64(cost), plan.plan, np.float64(value), potential.f.values)
+        return [a.tobytes() for a in numbers], pivots
+
+    block, dense = run(0), run(2**62)
+    assert block == dense
+    assert all(sum(counts) > n for counts in dense[1])
 
 
 def test_dual_potential_invariant_enforced():
