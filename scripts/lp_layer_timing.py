@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Time ``solve_lp`` on the primal and dual W1 programs, layer by layer.
+
+For each size, draws one planar pair from a fixed seed, records the LP
+that ``wasserstein_primal`` and ``wasserstein_dual`` hand to ``solve_lp``
+and times ``solve_lp`` alone on it, best of ``--repeat``.  Prints the
+time per solve, the pivots of phase 1 and phase 2, and the time per
+pivot, which includes the solve's fixed cost spread over its pivots.
+Run it with ``OPENBLAS_NUM_THREADS=1`` for stable figures:
+
+    PYTHONPATH=src python3 scripts/lp_layer_timing.py --sizes 5 10 20 --repeat 3
+"""
+
+import argparse
+import time
+
+from wassmdp import lp, transport
+from wassmdp.suites import cell_rng, random_distribution, random_metric_space
+
+
+def w1_problems(n, seed):
+    """The (primal, dual) LpProblems of one planar pair of size n."""
+    rng = cell_rng(seed, n)
+    space = random_metric_space(rng, n, "plane")
+    mu1, mu2 = random_distribution(rng, n), random_distribution(rng, n)
+    problems = []
+    solve = lp.solve_lp
+
+    def record(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    lp.solve_lp = record
+    try:
+        transport.wasserstein_primal(mu1, mu2, space)
+        transport.wasserstein_dual(mu1, mu2, space, 1.0)
+    finally:
+        lp.solve_lp = solve
+    return problems
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--sizes", type=int, nargs="+", default=[5, 10, 15, 20, 30, 40])
+    ap.add_argument("--repeat", type=int, default=5, help="timed solves per LP; the best counts")
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+
+    print(f"{'program':8} {'n':>3} {'rows':>5} {'vars':>5} {'ms/solve':>9} {'phase 1':>8} {'phase 2':>8} {'us/pivot':>9}")
+    for n in args.sizes:
+        for name, problem in zip(("primal", "dual"), w1_problems(n, args.seed)):
+            best = float("inf")
+            for _ in range(args.repeat):
+                start = time.perf_counter()
+                sol = lp.solve_lp(problem)
+                best = min(best, time.perf_counter() - start)
+            p1, p2 = sol.pivots
+            per_pivot = best * 1e6 / max(p1 + p2, 1)
+            rows, nvars = problem.A.shape
+            print(f"{name:8} {n:3d} {rows:5d} {nvars:5d} {best * 1e3:9.2f} {p1:8d} {p2:8d} {per_pivot:9.1f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -25,6 +25,14 @@ primals from about n = 25) ``_pivot`` updates that block alone, entry by
 entry as the dense update does, so the pivot sequence and the results
 stay bit-identical.  Below the gate, one dense update of a tableau that
 fits in cache is faster than gathering and scattering the block.
+
+Below the gate a tableau has at most a few thousand elements, so a
+pivot's arithmetic takes a few microseconds and its cost is the fixed
+count of numpy calls around it.  ``_run_simplex`` therefore allocates its
+masks, ratios and factor vector once and fills them with ``out=`` ufuncs
+and ndarray methods.  Row loops stay loops: a row reduction such as
+``-R.sum(axis=0)`` adds in a different order than ``tab[-1] -= tab[i]``
+row by row and can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -137,7 +145,9 @@ class _Standard:
 
     Each standard column is a signed copy of one original variable:
     x = q + scatter(signs * u over src), which keeps the transform free of
-    dense matrix products.  ``sense`` is the slack sign of each row.
+    dense matrix products.  ``first`` is each variable's first column and
+    ``split`` lists the free variables, whose second column follows it.
+    ``sense`` is the slack sign of each row.
     """
 
     A: np.ndarray
@@ -148,10 +158,16 @@ class _Standard:
     signs: np.ndarray
     q: np.ndarray
     offset: float
+    first: np.ndarray
+    split: np.ndarray
 
     def recover(self, u):
-        x = self.q.copy()
-        np.add.at(x, self.src, self.signs * u)
+        # The additions of np.add.at(x, src, v) in its order, first columns
+        # then second ones, at a fraction of its per-call cost.
+        v = self.signs * u
+        x = self.q + v[self.first]
+        if self.split.size:
+            x[self.split] += v[self.first[self.split] + 1]
         return x
 
 
@@ -197,7 +213,7 @@ def _standardize(problem: LpProblem):
 
     c = problem.objective[src] * signs
     offset = float(problem.objective @ q)
-    return _Standard(A, b, sense, c, src, signs, q, offset)
+    return _Standard(A, b, sense, c, src, signs, q, offset, first, np.flatnonzero(free))
 
 
 def _run_simplex(tab, basis, ncols, work):
@@ -210,53 +226,69 @@ def _run_simplex(tab, basis, ncols, work):
     """
     m = tab.shape[0] - 1
     max_pivots = 5000 + 60 * (m + ncols)
+    reduced = tab[-1, :ncols]
     rhs = tab[:m, -1]
+    # Masks, ratios and pivot-column factors live for the whole run; a pivot
+    # fills them with out= ufuncs and ndarray methods, no wrapper calls.
+    cand = np.empty(ncols, dtype=bool)
+    pos = np.empty(m, dtype=bool)
+    tied = np.empty(m, dtype=bool)
     ratios = np.empty(m)
+    factors = np.empty(m + 1)
     # The buffer's head, contiguous and shaped like tab; a 2-D slice of it
     # would make each pivot loop row by row, ~10% slower on small tableaux.
     work = work.reshape(-1)[: tab.size].reshape(tab.shape)
     for pivots in range(max_pivots):
-        reduced = tab[-1, :ncols]
-        cand = reduced < -OPTIMALITY_TOL
-        if not cand.any():
+        np.less(reduced, -OPTIMALITY_TOL, out=cand)
+        col = int(cand.argmax())
+        if not cand[col]:
             return "optimal", pivots
-        col = int(np.argmax(cand))
-        column = tab[:m, col]
-        pos = column > _PIVOT_TOL
-        if not pos.any():
+        if not m:  # no row limits the entering column
             return "unbounded", pivots
+        column = tab[:m, col]
+        np.greater(column, _PIVOT_TOL, out=pos)
         ratios.fill(np.inf)
         np.divide(rhs, column, out=ratios, where=pos)
-        theta = ratios.min()
-        tied = np.flatnonzero(ratios <= theta + 1e-12 * (1.0 + abs(theta)))
-        p = int(tied[0]) if tied.size == 1 else int(tied[np.argmin(basis[tied])])
-        _pivot(tab, basis, p, col, work)
+        # argmin is the first row of least ratio, so it is positive whenever
+        # any row is, unless every positive ratio overflowed to inf.
+        p = int(ratios.argmin())
+        if not pos[p] and not pos.any():
+            return "unbounded", pivots
+        theta = ratios.item(p)
+        np.less_equal(ratios, theta + 1e-12 * (1.0 + abs(theta)), out=tied)
+        idx = tied.nonzero()[0]
+        # Ties go to the lowest basis index; an empty set (NaN ratios)
+        # raises in argmin, as it always has.
+        if idx.size != 1:
+            p = int(idx[basis[idx].argmin()])
+        _pivot(tab, basis, p, col, work, factors)
     raise ArithmeticError("simplex did not terminate within its pivot budget")
 
 
-def _pivot(tab, basis, p, col, work):
+def _pivot(tab, basis, p, col, work, factors):
     """Pivot on tab[p, col]; ``work`` is a contiguous scratch array of tab's size.
 
-    Every entry gets tab_ij - factors_i * piv_row_j, where factors is the
-    pivot column with the pivot row's entry zeroed.  On large tableaux only
-    the block of nonzero factors (the objective row included) and nonzero
-    pivot-row entries (the RHS column included) is gathered, updated and
-    scattered back.  Inside it each entry gets the same product and the
-    same subtraction as in the dense update, so the bits agree; an entry
+    ``factors`` is a scratch vector of tab's row count.  Every entry gets
+    tab_ij - factors_i * piv_row_j, where factors is the pivot column with
+    the pivot row's entry zeroed.  On large tableaux only the block of
+    nonzero factors (the objective row included) and nonzero pivot-row
+    entries (the RHS column included) is gathered, updated and scattered
+    back.  Inside it each entry gets the same product and the same
+    subtraction as in the dense update, so the bits agree; an entry
     outside it would only have a zero subtracted, which can flip the sign
     of a zero entry and nothing else.  No pivot decision and no returned
     value reads that sign.
     """
     piv_row = tab[p]
     piv_row /= piv_row[col]
-    factors = tab[:, col].copy()
+    factors[:] = tab[:, col]
     factors[p] = 0.0
     if tab.size < _BLOCK_MIN_SIZE:
-        np.multiply(factors[:, None], piv_row[None, :], out=work)
+        np.multiply(factors[:, None], piv_row, out=work)
         np.subtract(tab, work, out=tab)
     else:
-        rows = np.flatnonzero(factors)
-        cols = np.flatnonzero(piv_row)
+        rows = factors.nonzero()[0]
+        cols = piv_row.nonzero()[0]
         update = work.reshape(-1)[: rows.size * cols.size].reshape(rows.size, cols.size)
         np.multiply(factors[rows, None], piv_row[None, cols], out=update)
         block = (rows[:, None], cols)
@@ -269,12 +301,14 @@ def _pivot(tab, basis, p, col, work):
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve a small dense LP to a certified-feasible optimal vertex.
+    """Solve a small dense LP to a certified optimal vertex.
 
     Every problem, with or without constraint rows, takes the same path,
     and memory stays at one tableau plus one scratch buffer.
     Infeasibility and unboundedness are reported through the status, not
-    by raising; only malformed input raises.
+    by raising; only malformed input raises, and so does an optimum that
+    fails its certificate: x must be feasible and the objective must agree
+    with the dual objective to ``FEASIBILITY_TOL`` relative to it.
     """
     std = _standardize(problem)
     if std is None:
@@ -318,11 +352,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             return LpSolution(status=INFEASIBLE, pivots=(phase1_pivots, 0))
         # Drive the remaining artificials out; a row with no other nonzero
         # is redundant and is dropped.
+        factors = np.empty(m + 1)
         for p in np.flatnonzero(basis >= art_start):
             row = np.abs(tab[p, :art_start])
             j = int(np.argmax(row))
             if row[j] > _PIVOT_TOL:
-                _pivot(tab, basis, p, j, work)
+                _pivot(tab, basis, p, j, work, factors)
                 phase1_pivots += 1
         kept = np.flatnonzero(basis < art_start)
         basis = basis[kept]
@@ -339,10 +374,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     c_min[:k] = -std.c
     tab[-1, :ncols] = c_min
     tab[-1, -1] = 0.0
-    for p in range(m):
-        cb = c_min[basis[p]]
-        if cb != 0.0:
-            tab[-1] -= cb * tab[p]
+    # Price out the basic rows with a nonzero cost, in row order.
+    cb = c_min[basis]
+    for p in cb.nonzero()[0]:
+        tab[-1] -= cb[p] * tab[p]
     status, phase2_pivots = _run_simplex(tab, basis, ncols, work)
     pivots = (phase1_pivots, phase2_pivots)
     if status == "unbounded":
@@ -380,11 +415,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     value = float(problem.objective @ x)
     duals = -y_min
     dual_value = float(duals @ b_kept) + std.offset
-    _certify(problem, x)
+    _certify(problem, x, value, dual_value)
     return LpSolution(OPTIMAL, x, value, duals, dual_value, pivots)
 
 
-def _certify(problem, x):
+def _certify(problem, x, value, dual_value):
+    """Raise ArithmeticError unless x is feasible and the duality gap closes."""
     residual = problem.A @ x - problem.rhs
     sense = _sense(problem.relations)
     violation = np.where(sense == 0.0, np.abs(residual), sense * residual)
@@ -398,3 +434,7 @@ def _certify(problem, x):
     bad = np.flatnonzero(x > problem.upper + FEASIBILITY_TOL)
     if bad.size:
         raise ArithmeticError(f"upper bound on variable {bad[0]} violated")
+    gap = abs(value - dual_value)
+    # Written so that a NaN gap fails too.
+    if not gap <= FEASIBILITY_TOL * (1.0 + abs(value)):
+        raise ArithmeticError(f"objective {value!r} and dual objective {dual_value!r} differ by {gap:.3e}")

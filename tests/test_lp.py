@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from wassmdp import lp
+from wassmdp import learner, lp, suites, transport
+from wassmdp.mdp import generate_lipschitz_mdp
 
 
 INF = np.inf
@@ -287,6 +290,25 @@ class TestSolutionContracts:
         assert sol.status == status
         assert sol.pivots == pivots
 
+    def test_perturbed_dual_objective_fails_certificate(self, monkeypatch):
+        problem = lp.LpProblem([1.0, 2.0], [[1.0, 1.0]], [lp.EQ], [2.0], 0.0)
+        sol = lp.solve_lp(problem)
+        lp._certify(problem, sol.x, sol.objective_value, sol.dual_objective_value)
+        for dual_value in (sol.dual_objective_value + 1e-6, np.nan):
+            with pytest.raises(ArithmeticError, match="dual objective"):
+                lp._certify(problem, sol.x, sol.objective_value, dual_value)
+        # The standard form's offset enters the dual objective alone, so
+        # shifting it opens a duality gap inside solve_lp.
+        standardize = lp._standardize
+
+        def shifted(p):
+            std = standardize(p)
+            return dataclasses.replace(std, offset=std.offset + 1e-6)
+
+        monkeypatch.setattr(lp, "_standardize", shifted)
+        with pytest.raises(ArithmeticError, match="dual objective"):
+            lp.solve_lp(problem)
+
     def test_degenerate_problem_terminates(self):
         # many redundant rows through the same vertex
         A = [[1.0, 1.0]] * 6 + [[1.0, 0.0]] * 4
@@ -352,6 +374,191 @@ class TestBlockPivot:
         solutions = dense[0]
         assert {f[0] for f in solutions} == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
         assert all(f[0] == lp.OPTIMAL and f[1][1] > 100 for f in solutions[-3:])
+
+
+def reference_run_simplex(tab, basis, ncols, work):
+    """The Bland loop before its per-pivot numpy calls were cut, verbatim."""
+    m = tab.shape[0] - 1
+    max_pivots = 5000 + 60 * (m + ncols)
+    rhs = tab[:m, -1]
+    ratios = np.empty(m)
+    # The buffer's head, contiguous and shaped like tab; a 2-D slice of it
+    # would make each pivot loop row by row, ~10% slower on small tableaux.
+    work = work.reshape(-1)[: tab.size].reshape(tab.shape)
+    for pivots in range(max_pivots):
+        reduced = tab[-1, :ncols]
+        cand = reduced < -lp.OPTIMALITY_TOL
+        if not cand.any():
+            return "optimal", pivots
+        col = int(np.argmax(cand))
+        column = tab[:m, col]
+        pos = column > lp._PIVOT_TOL
+        if not pos.any():
+            return "unbounded", pivots
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=pos)
+        theta = ratios.min()
+        tied = np.flatnonzero(ratios <= theta + 1e-12 * (1.0 + abs(theta)))
+        p = int(tied[0]) if tied.size == 1 else int(tied[np.argmin(basis[tied])])
+        reference_pivot(tab, basis, p, col, work)
+    raise ArithmeticError("simplex did not terminate within its pivot budget")
+
+
+def reference_pivot(tab, basis, p, col, work, factors=None):
+    """The pivot before it took a scratch factor vector, verbatim; ``factors`` is unused."""
+    piv_row = tab[p]
+    piv_row /= piv_row[col]
+    factors = tab[:, col].copy()
+    factors[p] = 0.0
+    if tab.size < lp._BLOCK_MIN_SIZE:
+        np.multiply(factors[:, None], piv_row[None, :], out=work)
+        np.subtract(tab, work, out=tab)
+    else:
+        rows = np.flatnonzero(factors)
+        cols = np.flatnonzero(piv_row)
+        update = work.reshape(-1)[: rows.size * cols.size].reshape(rows.size, cols.size)
+        np.multiply(factors[rows, None], piv_row[None, cols], out=update)
+        block = (rows[:, None], cols)
+        gathered = tab[block]
+        gathered -= update
+        tab[block] = gathered
+    tab[:, col] = 0.0
+    tab[p, col] = 1.0
+    basis[p] = col
+
+
+def reference_recover(std, u):
+    """_Standard.recover as np.add.at computed it, verbatim."""
+    x = std.q.copy()
+    np.add.at(x, std.src, std.signs * u)
+    return x
+
+
+def random_family():
+    """Random boxed LPs, optimal or infeasible; the same rows on free
+    variables, where unbounded LPs occur; and LPs without standard-form rows."""
+    rng = np.random.default_rng(47)
+    problems = [TestSolutionContracts._random_problem(rng) for _ in range(200)]
+    problems += [lp.LpProblem(p.objective, p.A, p.relations, p.rhs) for p in problems[:60]]
+    none = np.zeros((0, 2))
+    problems += [
+        lp.LpProblem([1.0, -1.0], none, [], [], lower=0.0),  # unbounded
+        lp.LpProblem([-1.0, -2.0], none, [], [], lower=0.0),
+        lp.LpProblem([0.0, 0.0], none, [], []),  # two split free variables
+        lp.LpProblem([-1.0, 1.0], none, [], [], lower=[-INF, 1.0], upper=[2.0, INF]),
+        # x = (-0.0, 0.0): recover must add in np.add.at's order to keep the sign.
+        lp.LpProblem([1.0, -1.0], none, [], [], lower=[-INF, -0.0], upper=[-0.0, INF]),
+    ]
+    return problems
+
+
+def w1_problems():
+    """The primal and dual W1 LPs of the equivalence suite's sizes and spaces."""
+    problems = []
+    solve = lp.solve_lp
+
+    def record(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    lp.solve_lp = record
+    try:
+        for n, kind in itertools.product(range(4, 16), ("line", "closure", "plane")):
+            rng = suites.cell_rng(13, n)
+            space = suites.random_metric_space(rng, n, kind)
+            mu1, mu2 = suites.random_distribution(rng, n), suites.random_distribution(rng, n)
+            transport.wasserstein_primal(mu1, mu2, space)
+            transport.wasserstein_dual(mu1, mu2, space, 1.0)
+    finally:
+        lp.solve_lp = solve
+    return problems
+
+
+@pytest.fixture(scope="module")
+def loop_problems():
+    return random_family() + w1_problems()
+
+
+class TestPivotLoop:
+    def test_matches_reference_loop_bytewise(self, monkeypatch, loop_problems):
+        # The reference runs the old loop, pivot and recover; both runs must
+        # make the same Bland pivots, return the same bits and leave each
+        # phase's final tableau equal up to the sign of a zero.
+        assert any(lp._standardize(p).A.shape[0] == 0 for p in loop_problems)
+        new_parts = (lp._run_simplex, lp._pivot, lp._Standard.recover)
+        old_parts = (reference_run_simplex, reference_pivot, reference_recover)
+        state = {}
+
+        def recording_run(tab, basis, ncols, work):
+            std = state["std"]
+            if ncols == std.A.shape[1] + np.count_nonzero(std.sense):
+                # Phase 2 starts from the cost row priced out over every
+                # basic row in order, as the old loop over all rows did.
+                c_min = np.zeros(ncols)
+                c_min[: std.c.shape[0]] = -std.c
+                row = np.append(c_min, 0.0)
+                for p in range(tab.shape[0] - 1):
+                    cb = c_min[basis[p]]
+                    if cb != 0.0:
+                        row -= cb * tab[p]
+                assert row.tobytes() == tab[-1].tobytes()
+                state["phase2"] += 1
+            state["largest"] = max(state["largest"], tab.size)
+            result = state["loop"](tab, basis, ncols, work)
+            state["tableaux"].append(hashlib.sha256((tab + 0.0).tobytes()).digest())
+            return result
+
+        def solve_all(parts, gate):
+            state.update(loop=parts[0], tableaux=[], phase2=0, largest=0)
+            monkeypatch.setattr(lp, "_BLOCK_MIN_SIZE", gate)
+            monkeypatch.setattr(lp, "_run_simplex", recording_run)
+            monkeypatch.setattr(lp, "_pivot", parts[1])
+            monkeypatch.setattr(lp._Standard, "recover", parts[2])
+            solutions = []
+            for problem in loop_problems:
+                state["std"] = lp._standardize(problem)
+                solutions.append(fingerprint(lp.solve_lp(problem)))
+            return solutions, state["tableaux"], state["phase2"], state["largest"]
+
+        # The default gate sends the largest W1 duals through the block
+        # update and everything else through the dense one.
+        for gate in (lp._BLOCK_MIN_SIZE, 0):
+            new = solve_all(new_parts, gate)
+            assert new == solve_all(old_parts, gate)
+        solutions, _, phase2, largest = new
+        assert {f[0] for f in solutions} == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+        assert phase2 > len(loop_problems) // 2
+        assert largest >= lp._BLOCK_MIN_SIZE
+
+    def test_no_floating_point_warnings(self, loop_problems):
+        # Non-positive pivot-column entries must stay out of the ratio test
+        # rather than divide and be discarded.
+        with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
+            warnings.simplefilter("error")
+            statuses = {lp.solve_lp(problem).status for problem in loop_problems}
+        assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+
+    def test_suite_pivot_totals(self, monkeypatch):
+        # Bland's rule fixes the pivot sequence and with it every reported
+        # bit; these (phase 1, phase 2) totals are the solver's before its
+        # per-pivot numpy calls were cut.
+        totals = {}
+        solve = lp.solve_lp
+
+        def counting_solve(problem):
+            sol = solve(problem)
+            totals[key] = tuple(a + b for a, b in zip(totals[key], sol.pivots))
+            return sol
+
+        monkeypatch.setattr(lp, "solve_lp", counting_solve)
+        key = "suite"
+        totals[key] = (0, 0)
+        suites.equivalence_suite(seed=11, trials=2)
+        key = "fit"
+        totals[key] = (0, 0)
+        mdp = generate_lipschitz_mdp(4, 2, 0.9, 0.5, seed=3)
+        learner.fit_model(mdp, learner.WASSERSTEIN_LOSS, learner.FitConfig(iters=2, step_size=0.5))
+        assert totals == {"suite": (315, 545), "fit": (1786, 1226)}
 
 
 def standardize_by_rows(problem):
