@@ -542,23 +542,24 @@ class TestPivotLoop:
         # Bland's rule fixes the pivot sequence and with it every reported
         # bit; these (phase 1, phase 2) totals are the solver's before its
         # per-pivot numpy calls were cut.
-        totals = {}
         solve = lp.solve_lp
 
-        def counting_solve(problem):
-            sol = solve(problem)
-            totals[key] = tuple(a + b for a, b in zip(totals[key], sol.pivots))
-            return sol
+        def totals(run):
+            pivots = []
 
-        monkeypatch.setattr(lp, "solve_lp", counting_solve)
-        key = "suite"
-        totals[key] = (0, 0)
-        suites.equivalence_suite(seed=11, trials=2)
-        key = "fit"
-        totals[key] = (0, 0)
+            def counting_solve(problem):
+                sol = solve(problem)
+                pivots.append(sol.pivots)
+                return sol
+
+            monkeypatch.setattr(lp, "solve_lp", counting_solve)
+            run()
+            return tuple(map(sum, zip(*pivots)))
+
         mdp = generate_lipschitz_mdp(4, 2, 0.9, 0.5, seed=3)
-        learner.fit_model(mdp, learner.WASSERSTEIN_LOSS, learner.FitConfig(iters=2, step_size=0.5))
-        assert totals == {"suite": (315, 545), "fit": (1786, 1226)}
+        config = learner.FitConfig(iters=2, step_size=0.5)
+        assert totals(lambda: suites.equivalence_suite(seed=11, trials=2)) == (315, 545)
+        assert totals(lambda: learner.fit_model(mdp, learner.WASSERSTEIN_LOSS, config)) == (1736, 1202)
 
 
 def standardize_by_rows(problem):
