@@ -3,10 +3,15 @@
 
 For each size, draws one planar pair from a fixed seed, records the LP
 that ``wasserstein_primal`` and ``wasserstein_dual`` hand to ``solve_lp``
-and times ``solve_lp`` alone on it, best of ``--repeat``.  Prints the
-time per solve, the pivots of phase 1 and phase 2, and the time per
-pivot, which includes the solve's fixed cost spread over its pivots.
-Run it with ``OPENBLAS_NUM_THREADS=1`` for stable figures:
+and times ``solve_lp`` alone on it, best of ``--repeat``, with the
+phase-1 memo emptied before each solve.  A third row, ``dual-hit``, times
+the dual of a second pair on the same space: the same constraints under
+another objective, solved right after the first dual, so phase 1 comes
+from the memo where the LP is small enough for it (the ``reused``
+column).  Prints the time per solve, the pivots of phase 1 and phase 2,
+and the time per pivot, which includes the solve's fixed cost spread
+over its pivots.  Run it with ``OPENBLAS_NUM_THREADS=1`` for stable
+figures:
 
     PYTHONPATH=src python3 scripts/lp_layer_timing.py --sizes 5 10 20 --repeat 3
 """
@@ -19,10 +24,12 @@ from wassmdp.suites import cell_rng, random_distribution, random_metric_space
 
 
 def w1_problems(n, seed):
-    """The (primal, dual) LpProblems of one planar pair of size n."""
+    """The primal and dual LpProblems of one planar pair of size n, and the
+    dual of a second pair on the same space."""
     rng = cell_rng(seed, n)
     space = random_metric_space(rng, n, "plane")
     mu1, mu2 = random_distribution(rng, n), random_distribution(rng, n)
+    mu3, mu4 = random_distribution(rng, n), random_distribution(rng, n)
     problems = []
     solve = lp.solve_lp
 
@@ -34,6 +41,7 @@ def w1_problems(n, seed):
     try:
         transport.wasserstein_primal(mu1, mu2, space)
         transport.wasserstein_dual(mu1, mu2, space, 1.0)
+        transport.wasserstein_dual(mu3, mu4, space, 1.0)
     finally:
         lp.solve_lp = solve
     return problems
@@ -46,18 +54,28 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    print(f"{'program':8} {'n':>3} {'rows':>5} {'vars':>5} {'ms/solve':>9} {'phase 1':>8} {'phase 2':>8} {'us/pivot':>9}")
+    print(
+        f"{'program':8} {'n':>3} {'rows':>5} {'vars':>5} {'ms/solve':>9} "
+        f"{'phase 1':>8} {'phase 2':>8} {'us/pivot':>9} {'reused':>7}"
+    )
     for n in args.sizes:
-        for name, problem in zip(("primal", "dual"), w1_problems(n, args.seed)):
+        primal, dual, second = w1_problems(n, args.seed)
+        for name, problem in (("primal", primal), ("dual", dual), ("dual-hit", second)):
             best = float("inf")
             for _ in range(args.repeat):
+                lp.clear_memo()
+                if name == "dual-hit":
+                    lp.solve_lp(dual)  # leaves its phase 1 in the memo
                 start = time.perf_counter()
                 sol = lp.solve_lp(problem)
                 best = min(best, time.perf_counter() - start)
             p1, p2 = sol.pivots
             per_pivot = best * 1e6 / max(p1 + p2, 1)
             rows, nvars = problem.A.shape
-            print(f"{name:8} {n:3d} {rows:5d} {nvars:5d} {best * 1e3:9.2f} {p1:8d} {p2:8d} {per_pivot:9.1f}")
+            print(
+                f"{name:8} {n:3d} {rows:5d} {nvars:5d} {best * 1e3:9.2f} "
+                f"{p1:8d} {p2:8d} {per_pivot:9.1f} {str(sol.phase1_reused):>7}"
+            )
 
 
 if __name__ == "__main__":

@@ -181,11 +181,21 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _setting(key, parse, *args):
+    """parse(*args) for one config setting, with a bad value as a ConfigError."""
+    try:
+        return parse(*args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _cmd_run_gvi(config, out_dir) -> int:
+    op = _setting("operator", parse_operator, config.get("operator", "max"))
+    delta = _setting("delta", float, config.get("delta", 1e-10))
+    if not (delta > 0.0):
+        raise ConfigError(f"delta: must be positive, got {delta!r}")
+    max_iter = _setting("max_iter", int, config.get("max_iter", 1_000_000))
     mdp, source = _resolve_mdp(config)
-    op = parse_operator(config.get("operator", "max"))
-    delta = float(config.get("delta", 1e-10))
-    max_iter = int(config.get("max_iter", 1_000_000))
     result = gvi(mdp, op, delta=delta, max_iter=max_iter, in_place=bool(config.get("in_place", False)))
     body = {
         "source": source,
@@ -207,18 +217,25 @@ def _cmd_run_gvi(config, out_dir) -> int:
 _FIT_CASTS = {"iters": int, "step_size": float, "seed": int, "fd_epsilon": float, "log_every": int}
 
 
-def _fit_config(config) -> learner.FitConfig:
-    """FitConfig from the keys the config gives; the others keep their defaults."""
-    kwargs = {key: cast(config[key]) for key, cast in _FIT_CASTS.items() if key in config}
+def _fit_setup(config):
+    """The FitConfig from the keys the config gives, the others at their defaults,
+    and the MDP it fits; every setting is checked before any fitting starts."""
+    kwargs = {key: _setting(key, cast, config[key]) for key, cast in _FIT_CASTS.items() if key in config}
     if "model_rank" in config:
         kwargs["model_rank"] = config["model_rank"]
-    return learner.FitConfig(**kwargs)
+    fit = _setting("fit settings", lambda: learner.FitConfig(**kwargs))
+    mdp, source = _resolve_mdp(config)
+    if fit.model_rank is not None:
+        rank = _setting("model_rank", int, fit.model_rank)
+        if not (1 <= rank <= mdp.n_states):
+            raise ConfigError(f"model_rank: must lie in [1, {mdp.n_states}], got {rank}")
+    return fit, mdp, source
 
 
 def _cmd_run_learn(config, out_dir) -> int:
-    mdp, source = _resolve_mdp(config)
-    kind = learner.parse_loss_kind(config.get("kind", "kl"))
-    report = learner.fit_model(mdp, kind, _fit_config(config))
+    kind = _setting("kind", learner.parse_loss_kind, config.get("kind", "kl"))
+    fit, mdp, source = _fit_setup(config)
+    report = learner.fit_model(mdp, kind, fit)
     body = {"source": source, **report.to_json_dict()}
     path = _write_report(out_dir, "train_report.json", body)
     report.write_loss_csv(os.path.join(out_dir, "loss_curve.csv"))
@@ -230,12 +247,12 @@ def _cmd_run_learn(config, out_dir) -> int:
 
 
 def _cmd_run_compare(config, out_dir) -> int:
-    mdp, source = _resolve_mdp(config)
     kind_specs = config.get("kinds", ["kl", "wasserstein", "vaml"])
     if not isinstance(kind_specs, list) or not kind_specs:
         raise ConfigError("'kinds' must be a nonempty list of loss kind strings")
-    kinds = [learner.parse_loss_kind(text) for text in kind_specs]
-    comparison = learner.compare_losses(mdp, kinds, _fit_config(config))
+    kinds = [_setting("kinds", learner.parse_loss_kind, text) for text in kind_specs]
+    fit, mdp, source = _fit_setup(config)
+    comparison = learner.compare_losses(mdp, kinds, fit)
     body = {"source": source, **comparison.to_json_dict()}
     path = _write_report(out_dir, "comparison.json", body)
     comparison.write_csv(os.path.join(out_dir, "comparison.csv"))

@@ -33,10 +33,28 @@ masks, ratios and factor vector once and fills them with ``out=`` ufuncs
 and ndarray methods.  Row loops stay loops: a row reduction such as
 ``-R.sum(axis=0)`` adds in a different order than ``tab[-1] -= tab[i]``
 row by row and can differ in the last bit.
+
+Standardization, the tableau build and phase 1 read only the constraint
+data, never the objective, and a basis that phase 1 finds stays feasible
+for any cost vector.  A small module-level memo therefore keeps, per
+constraint set, the standard form, the tableau after phase 1, its basis,
+kept rows and phase-1 pivot count (or the phase-1 "infeasible" verdict).
+Its key is the exact bytes of ``A`` (with its shape), ``relations``,
+``rhs``, ``lower`` and ``upper``, compared byte for byte, never by a
+hash.  A hit prices the new objective into a copy of the stored tableau
+and runs phase 2, the refactorization and the certificate on the same
+code as a miss.  Phase 2 then starts from the very bits a fresh phase 1
+would have produced, so every returned bit is the same as without the
+memo.  The memo is bounded: at most ``_MEMO_ENTRIES`` entries, least
+recently used out first, and an LP whose entry could exceed
+``_MEMO_MAX_ELEMENTS`` numbers (about 1 MiB) is neither keyed nor
+stored.  Stored arrays are read-only, each solve works on its own copies,
+and a lock guards the entry list, so threads may solve concurrently.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +70,10 @@ OPTIMALITY_TOL = 1e-9
 _PIVOT_TOL = 1e-10
 # Tableau size (elements) from which _pivot updates only the nonzero block.
 _BLOCK_MIN_SIZE = 30_000
+# Phase-1 memo: the number of entries kept, and the most numbers one entry
+# may hold (the key's copy of A, the standard-form matrix and the tableau).
+_MEMO_ENTRIES = 4
+_MEMO_MAX_ELEMENTS = 131_072
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +150,10 @@ class LpSolution:
     ``dual_objective_value`` is their independently re-factorized price-out
     of the optimum, which must agree with ``objective_value``.  ``pivots``
     counts the simplex pivots of phase 1 (artificial drive-out included)
-    and of phase 2.
+    and of phase 2.  ``phase1_reused`` is true when the phase-1 result came
+    from the memo, keyed by the exact bytes of the constraint data; phase 1
+    was then not run again, ``pivots`` still reports the phase-1 count of
+    the basis used, and every other field has the bits a fresh solve gives.
     """
 
     status: str
@@ -137,6 +162,7 @@ class LpSolution:
     duals: np.ndarray | None = None
     dual_objective_value: float | None = None
     pivots: tuple[int, int] = (0, 0)
+    phase1_reused: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,19 +173,22 @@ class _Standard:
     x = q + scatter(signs * u over src), which keeps the transform free of
     dense matrix products.  ``first`` is each variable's first column and
     ``split`` lists the free variables, whose second column follows it.
-    ``sense`` is the slack sign of each row.
+    ``sense`` is the slack sign of each row.  The form holds constraint
+    data only; ``costs`` maps an objective onto it.
     """
 
     A: np.ndarray
     b: np.ndarray
     sense: np.ndarray
-    c: np.ndarray
     src: np.ndarray
     signs: np.ndarray
     q: np.ndarray
-    offset: float
     first: np.ndarray
     split: np.ndarray
+
+    def costs(self, objective):
+        """The objective on the standard columns and its constant term objective @ q."""
+        return objective[self.src] * self.signs, float(objective @ self.q)
 
     def recover(self, u):
         # The additions of np.add.at(x, src, v) in its order, first columns
@@ -211,9 +240,7 @@ def _standardize(problem: LpProblem):
     b[flip] = -b[flip]
     sense[flip] = -sense[flip]
 
-    c = problem.objective[src] * signs
-    offset = float(problem.objective @ q)
-    return _Standard(A, b, sense, c, src, signs, q, offset, first, np.flatnonzero(free))
+    return _Standard(A, b, sense, src, signs, q, first, np.flatnonzero(free))
 
 
 def _run_simplex(tab, basis, ncols, work):
@@ -300,21 +327,90 @@ def _pivot(tab, basis, p, col, work, factors):
     basis[p] = col
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve a small dense LP to a certified optimal vertex.
+@dataclass(frozen=True, eq=False)
+class _Phase1:
+    """What phase 1 leaves for phase 2; it depends on the constraints alone.
 
-    Every problem, with or without constraint rows, takes the same path,
-    and memory stays at one tableau plus one scratch buffer.
-    Infeasibility and unboundedness are reported through the status, not
-    by raising; only malformed input raises, and so does an optimum that
-    fails its certificate: x must be feasible and the objective must agree
-    with the dual objective to ``FEASIBILITY_TOL`` relative to it.
+    ``tab`` is the tableau after phase 1 without artificial columns or
+    redundant rows (phase 2 overwrites its cost row), ``basis`` maps its
+    rows to columns, ``kept`` lists the standard-form rows it keeps and
+    ``pivots`` counts phase 1's pivots, drive-out included.  ``tab`` and
+    ``basis`` are None when phase 1 proved the LP infeasible.
     """
-    std = _standardize(problem)
-    if std is None:
-        return LpSolution(status=INFEASIBLE)
-    m, k = std.A.shape
 
+    std: _Standard
+    slack_rows: np.ndarray
+    tab: np.ndarray | None
+    basis: np.ndarray | None
+    kept: np.ndarray | None
+    pivots: int
+
+
+_memo: list = []  # (key, read-only _Phase1) pairs, most recently used first
+_memo_lock = threading.Lock()
+
+
+def clear_memo():
+    """Forget every stored phase-1 result."""
+    with _memo_lock:
+        _memo.clear()
+
+
+def _memo_key(problem):
+    """The constraint data's exact bytes, or None when an entry could be too large.
+
+    The size bound counts the key's copy of A, the standard-form matrix
+    and the tableau with a slack on every row but no artificial column,
+    from the problem's shape and bounds alone, before any copy is made.
+    """
+    m0, nv = problem.A.shape
+    has_lo, has_hi = problem.lower > -np.inf, problem.upper < np.inf
+    boxed = int(np.count_nonzero(has_lo & has_hi))
+    m = m0 + boxed
+    k = 2 * nv - int(np.count_nonzero(has_lo | has_hi))
+    if m0 * nv + m * k + (m + 1) * (k + m + 1) > _MEMO_MAX_ELEMENTS:
+        return None
+    return (
+        problem.A.shape,
+        problem.A.tobytes(),
+        problem.relations.tobytes(),
+        problem.rhs.tobytes(),
+        problem.lower.tobytes(),
+        problem.upper.tobytes(),
+    )
+
+
+def _memo_lookup(key):
+    with _memo_lock:
+        for i, (stored, start) in enumerate(_memo):
+            if stored == key:  # tuples of shapes and bytes: an exact comparison
+                _memo.insert(0, _memo.pop(i))
+                return start
+    return None
+
+
+def _memo_store(key, start):
+    """Keep a read-only copy of ``start``; phase 2 goes on with the original."""
+    std = start.std
+    arrays = [std.A, std.b, std.sense, std.src, std.signs, std.q, std.first, std.split, start.slack_rows]
+    if start.tab is not None:
+        start = _Phase1(std, start.slack_rows, start.tab.copy(), start.basis.copy(), start.kept, start.pivots)
+        arrays += [start.tab, start.basis, start.kept]
+    for a in arrays:
+        a.setflags(write=False)
+    with _memo_lock:
+        _memo[:] = [entry for entry in _memo if entry[0] != key]
+        _memo.insert(0, (key, start))
+        del _memo[_MEMO_ENTRIES:]
+
+
+def _phase1(std):
+    """Build the tableau and run phase 1; returns the _Phase1 and a scratch buffer.
+
+    The returned tableau and basis are the live ones that phase 2 goes on
+    with; the buffer is at least as large as the tableau.
+    """
+    m, k = std.A.shape
     # Columns: structural, one slack per inequality row (+1 for "<=", -1 for
     # ">="), one artificial per "==" or ">=" row.  "<=" rows start on their
     # slack, the others on their artificial.
@@ -337,19 +433,19 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     work = np.empty_like(tab)
 
     kept = np.arange(m)
-    phase1_pivots = 0
+    pivots = 0
     if na:
         # Phase 1 minimizes the artificial total; starting reduced costs are
         # the negated column sums over the artificial rows.
         for i in art_rows:
             tab[-1] -= tab[i]
         tab[-1, art_start:ncols] = 0.0
-        status, phase1_pivots = _run_simplex(tab, basis, ncols, work)
+        status, pivots = _run_simplex(tab, basis, ncols, work)
         if status != "optimal":
             raise ArithmeticError("phase-1 subproblem reported unbounded")
         phase1 = -tab[-1, -1]
         if phase1 > FEASIBILITY_TOL * (1.0 + std.b.max(initial=0.0)):
-            return LpSolution(status=INFEASIBLE, pivots=(phase1_pivots, 0))
+            return _Phase1(std, slack_rows, None, None, None, pivots), None
         # Drive the remaining artificials out; a row with no other nonzero
         # is redundant and is dropped.
         factors = np.empty(m + 1)
@@ -358,20 +454,59 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             j = int(np.argmax(row))
             if row[j] > _PIVOT_TOL:
                 _pivot(tab, basis, p, j, work, factors)
-                phase1_pivots += 1
+                pivots += 1
         kept = np.flatnonzero(basis < art_start)
         basis = basis[kept]
-        m = kept.shape[0]
         # With the RHS moved next to the slacks, one gather drops those rows
         # and the artificial columns.  The old tableau becomes the scratch
         # buffer, so no third tableau-sized array is ever alive.
         tab[:, art_start] = tab[:, -1]
         work = None
         tab, work = tab[np.append(kept, -1), : art_start + 1], tab
-        ncols = art_start
+    return _Phase1(std, slack_rows, tab, basis, kept, pivots), work
+
+
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve a small dense LP to a certified optimal vertex.
+
+    Every problem, with or without constraint rows, takes the same path,
+    and memory stays at one tableau plus one scratch buffer, and for an LP
+    small enough for the memo the stored copy of its phase-1 tableau.
+    Phase 1 is taken from the memo when the same constraint data was
+    solved before.
+    Infeasibility and unboundedness are reported through the status, not
+    by raising; only malformed input raises, and so does an optimum that
+    fails its certificate: x must be feasible and the objective must agree
+    with the dual objective to ``FEASIBILITY_TOL`` relative to it.
+    """
+    key = _memo_key(problem)
+    start = None if key is None else _memo_lookup(key)
+    reused = start is not None
+    if reused:
+        # Phase 2 writes its tableau and basis; the stored ones are read-only.
+        tab = basis = work = None
+        if start.tab is not None:
+            tab, basis = start.tab.copy(), start.basis.copy()
+            work = np.empty_like(tab)
+    else:
+        std = _standardize(problem)
+        if std is None:
+            return LpSolution(status=INFEASIBLE)
+        start, work = _phase1(std)
+        tab, basis = start.tab, start.basis
+        if key is not None:
+            _memo_store(key, start)
+    # Unpacked, so that dropping tab below frees the tableau.
+    std, slack_rows, kept, phase1_pivots = start.std, start.slack_rows, start.kept, start.pivots
+    start = None
+    if tab is None:
+        return LpSolution(status=INFEASIBLE, pivots=(phase1_pivots, 0), phase1_reused=reused)
+    k = std.A.shape[1]
+    m, ncols = tab.shape[0] - 1, tab.shape[1] - 1
+    c, offset = std.costs(problem.objective)
 
     c_min = np.zeros(ncols)
-    c_min[:k] = -std.c
+    c_min[:k] = -c
     tab[-1, :ncols] = c_min
     tab[-1, -1] = 0.0
     # Price out the basic rows with a nonzero cost, in row order.
@@ -381,7 +516,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     status, phase2_pivots = _run_simplex(tab, basis, ncols, work)
     pivots = (phase1_pivots, phase2_pivots)
     if status == "unbounded":
-        return LpSolution(status=UNBOUNDED, pivots=pivots)
+        return LpSolution(status=UNBOUNDED, pivots=pivots, phase1_reused=reused)
     tab_rhs = tab[:m, -1].copy()
     tab = work = None
 
@@ -414,9 +549,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     x = std.recover(u[:k])
     value = float(problem.objective @ x)
     duals = -y_min
-    dual_value = float(duals @ b_kept) + std.offset
+    dual_value = float(duals @ b_kept) + offset
     _certify(problem, x, value, dual_value)
-    return LpSolution(OPTIMAL, x, value, duals, dual_value, pivots)
+    return LpSolution(OPTIMAL, x, value, duals, dual_value, pivots, reused)
 
 
 def _certify(problem, x, value, dual_value):

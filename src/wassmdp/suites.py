@@ -187,6 +187,10 @@ def theorem_suite(
         trials = min(trials, len(mdps))
     max_violation = -np.inf
     recursion_max = -np.inf
+    # Sweep 1 gives Q = R, where the recursion holds with equality on
+    # generator MDPs; the least slack of the later sweeps shows their margin.
+    recursion_sweeps = 0
+    recursion_min_slack = np.inf
     worst = None
     skipped = []
     for t in range(trials):
@@ -212,11 +216,14 @@ def theorem_suite(
         for op in operators:
             state = {"prev": 0.0}
 
-            def on_sweep(_it, q, _diff, mdp=mdp, kr=kr, kw=kw, state=state):
-                nonlocal recursion_max
+            def on_sweep(it, q, _diff, mdp=mdp, kr=kr, kw=kw, state=state):
+                nonlocal recursion_max, recursion_sweeps, recursion_min_slack
                 kq = uniform_lipschitz_constant(q.T, mdp.space).constant
                 allowed = kr + mdp.gamma * kw * state["prev"]
                 recursion_max = max(recursion_max, kq - allowed)
+                recursion_sweeps += 1
+                if it >= 2:
+                    recursion_min_slack = min(recursion_min_slack, allowed - kq)
                 state["prev"] = kq
 
             result = gvi(mdp, op, delta=delta, on_sweep=on_sweep)
@@ -240,7 +247,13 @@ def theorem_suite(
         bool(passed),
         worst,
         skipped,
-        details={"recursion_max_excess": float(recursion_max), "recursion_tol": recursion_tol},
+        details={
+            "recursion_max_excess": float(recursion_max),
+            "recursion_tol": recursion_tol,
+            "recursion_sweeps": recursion_sweeps,
+            # None when no run took a second sweep.
+            "recursion_min_slack": float(recursion_min_slack) if np.isfinite(recursion_min_slack) else None,
+        },
     )
 
 

@@ -8,6 +8,7 @@ potentials; each acts as the other's oracle in the test suites.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -131,6 +132,35 @@ def _check_pair(mu1, mu2, space):
         )
 
 
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=32)
+def _primal_constraints(n):
+    """The coupling LP's marginal rows and relation codes for n points, read-only."""
+    # Row i of the plan sums to mu1[i], column j to mu2[j].
+    marginals = np.vstack([np.repeat(np.eye(n), n, axis=1), np.tile(np.eye(n), n)])
+    return _frozen(marginals, np.array((lp.EQ,) * (2 * n), dtype=str))
+
+
+@functools.lru_cache(maxsize=32)
+def _dual_constraints(n):
+    """The potential LP's pair rows, their points (s1, s2) and relation codes, read-only.
+
+    One row f(s1) - f(s2) <= c * d(s1, s2) per ordered pair of the points
+    1..n-1, s1-major (indices count from point 1).
+    """
+    s1, s2 = np.nonzero(~np.eye(n - 1, dtype=bool))
+    rows = np.arange(s1.shape[0])
+    pairs = np.zeros((s1.shape[0], n - 1))
+    pairs[rows, s1] = 1.0
+    pairs[rows, s2] = -1.0
+    return _frozen(pairs, s1, s2, np.array((lp.LEQ,) * rows.shape[0], dtype=str))
+
+
 def wasserstein_primal(mu1: Distribution, mu2: Distribution, space: MetricSpace):
     """Minimum-cost coupling between mu1 and mu2 under the space's metric.
 
@@ -141,10 +171,9 @@ def wasserstein_primal(mu1: Distribution, mu2: Distribution, space: MetricSpace)
     n = space.n
     if n == 1:
         return 0.0, Coupling(np.ones((1, 1)), mu1.p, mu2.p)
-    # Row i of the plan sums to mu1[i], column j to mu2[j].
-    marginals = np.vstack([np.repeat(np.eye(n), n, axis=1), np.tile(np.eye(n), n)])
+    marginals, relations = _primal_constraints(n)
     rhs = np.concatenate([mu1.p, mu2.p])
-    problem = lp.LpProblem(-space.dist.ravel(), marginals, (lp.EQ,) * (2 * n), rhs, lower=0.0)
+    problem = lp.LpProblem(-space.dist.ravel(), marginals, relations, rhs, lower=0.0)
     sol = lp.solve_lp(problem)
     if sol.status != lp.OPTIMAL:
         raise ArithmeticError(f"transport primal LP reported {sol.status}")
@@ -174,16 +203,12 @@ def wasserstein_dual(mu1: Distribution, mu2: Distribution, space: MetricSpace, c
         pot = DualPotential(ScalarField(np.zeros(1)), float(c_bound), space)
         return 0.0, pot
     w = mu1.p - mu2.p
-    # One row f(s1) - f(s2) <= c * d(s1, s2) per ordered pair of unpinned
-    # points, s1-major; pairs through the pinned point become box bounds.
-    s1, s2 = np.nonzero(~np.eye(n - 1, dtype=bool))
-    rows = np.arange(s1.shape[0])
-    pairs = np.zeros((s1.shape[0], n - 1))
-    pairs[rows, s1] = 1.0
-    pairs[rows, s2] = -1.0
+    # One row per ordered pair of unpinned points; pairs through the pinned
+    # point become box bounds.
+    pairs, s1, s2, relations = _dual_constraints(n)
     rhs = c_bound * space.dist[1:, 1:][s1, s2]
     reach = c_bound * space.dist[0, 1:]
-    problem = lp.LpProblem(w[1:], pairs, (lp.LEQ,) * rows.shape[0], rhs, -reach, reach)
+    problem = lp.LpProblem(w[1:], pairs, relations, rhs, -reach, reach)
     sol = lp.solve_lp(problem)
     if sol.status != lp.OPTIMAL:
         raise ArithmeticError(f"transport dual LP reported {sol.status}")

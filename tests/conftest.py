@@ -1,4 +1,7 @@
+import pytest
 from hypothesis import HealthCheck, settings
+
+from wassmdp import lp
 
 settings.register_profile(
     "default",
@@ -6,3 +9,10 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+@pytest.fixture(autouse=True)
+def empty_lp_memo():
+    """Start every test with an empty phase-1 memo, so no test sees another's LPs."""
+    lp.clear_memo()
+    yield

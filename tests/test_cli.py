@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from wassmdp.cli import main
 from wassmdp.mdp import load_mdp
 
@@ -172,6 +174,27 @@ class TestRun:
     def test_mdp_and_generator_conflict(self, tmp_path, capsys):
         cfg = _write(tmp_path, "both.json", {"mdp": "x.json", "generator": {}})
         assert run_cli("run", "gvi", "--config", str(cfg)) == 2
+
+    @pytest.mark.parametrize(
+        "what, settings",
+        [
+            ("gvi", {"operator": "bogus"}),
+            ("gvi", {"delta": -1}),
+            ("learn", {"kind": "bogus"}),
+            ("learn", {"iters": 0}),
+            ("learn", {"step_size": -1}),
+            ("learn", {"kind": "vaml", "model_rank": 9}),
+            ("compare", {"kinds": ["kl", "nope"]}),
+        ],
+        ids=["operator", "delta", "kind", "iters", "step_size", "model_rank", "kinds"],
+    )
+    def test_bad_run_setting_exit_2_before_any_work(self, tmp_path, capsys, what, settings):
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, "bad.json", {"generator": {"states": 5, "seed": 1}, **settings})
+        code = run_cli("run", what, "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 def _write(directory, name, doc):

@@ -1,6 +1,7 @@
-import dataclasses
+import concurrent.futures
 import hashlib
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -297,15 +298,20 @@ class TestSolutionContracts:
         for dual_value in (sol.dual_objective_value + 1e-6, np.nan):
             with pytest.raises(ArithmeticError, match="dual objective"):
                 lp._certify(problem, sol.x, sol.objective_value, dual_value)
-        # The standard form's offset enters the dual objective alone, so
-        # shifting it opens a duality gap inside solve_lp.
-        standardize = lp._standardize
+        # The objective's constant term enters the dual objective alone, so
+        # shifting it opens a duality gap inside solve_lp, both when phase 1
+        # comes from the memo and when it runs afresh.
+        costs = lp._Standard.costs
 
-        def shifted(p):
-            std = standardize(p)
-            return dataclasses.replace(std, offset=std.offset + 1e-6)
+        def shifted(std, objective):
+            c, offset = costs(std, objective)
+            return c, offset + 1e-6
 
-        monkeypatch.setattr(lp, "_standardize", shifted)
+        monkeypatch.setattr(lp._Standard, "costs", shifted)
+        assert lp._memo
+        with pytest.raises(ArithmeticError, match="dual objective"):
+            lp.solve_lp(problem)
+        lp.clear_memo()
         with pytest.raises(ArithmeticError, match="dual objective"):
             lp.solve_lp(problem)
 
@@ -323,6 +329,247 @@ def fingerprint(sol):
     return (sol.status, sol.pivots) + tuple(
         None if v is None else np.asarray(v, dtype=float).tobytes() for v in numbers
     )
+
+
+def with_objective(problem, objective):
+    """The same constraint data under another objective."""
+    return lp.LpProblem(objective, problem.A, problem.relations, problem.rhs, problem.lower, problem.upper)
+
+
+def shared_constraint_groups():
+    """Groups of LPs that share their constraints and differ in the objective.
+
+    Random boxed LPs (optimal or phase-1 infeasible), the same rows on free
+    variables (unbounded ones too), a redundant equality row, a drive-out
+    pivot, and the W1 duals of one space and primals of one pair of
+    marginals under several metrics.
+    """
+    rng = np.random.default_rng(61)
+    groups = []
+    for _ in range(80):
+        base = TestSolutionContracts._random_problem(rng)
+        groups.append([with_objective(base, rng.normal(size=base.n_vars)) for _ in range(4)])
+    for group in groups[:30]:
+        groups.append([lp.LpProblem(p.objective, p.A, p.relations, p.rhs) for p in group])
+    redundant = lp.LpProblem([-1.0, -2.0], [[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]],
+                             [lp.EQ, lp.EQ, lp.LEQ], [2.0, 2.0, 1.0], 0.0)
+    drive_out = lp.LpProblem([0.0, 0.0], [[-1.0, -1.0]], [lp.EQ], [0.0], 0.0)
+    for base in (redundant, drive_out):
+        groups.append([with_objective(base, c) for c in ([-1.0, -2.0], [1.0, -3.0], [0.0, 0.0], [-2.0, -1.0])])
+    recorded = []
+    solve = lp.solve_lp
+
+    def record(problem):
+        recorded.append(problem)
+        return solve(problem)
+
+    lp.solve_lp = record
+    try:
+        space = suites.random_metric_space(rng, 7, "plane")
+        for _ in range(4):
+            mu1, mu2 = suites.random_distribution(rng, 7), suites.random_distribution(rng, 7)
+            transport.wasserstein_dual(mu1, mu2, space, 2.5)
+        groups.append(recorded[:])
+        recorded.clear()
+        mu1, mu2 = suites.random_distribution(rng, 6), suites.random_distribution(rng, 6)
+        for kind in ("line", "closure", "plane", "plane"):
+            transport.wasserstein_primal(mu1, mu2, suites.random_metric_space(rng, 6, kind))
+        groups.append(recorded[:])
+    finally:
+        lp.solve_lp = solve
+    return groups
+
+
+def memo_arrays():
+    """Every array the memo holds."""
+    arrays = []
+    for _, start in lp._memo:
+        std = start.std
+        arrays += [std.A, std.b, std.sense, std.src, std.signs, std.q, std.first, std.split, start.slack_rows]
+        if start.tab is not None:
+            arrays += [start.tab, start.basis, start.kept]
+    return arrays
+
+
+def held(entry):
+    """Numbers a memo entry holds in its key's copy of A, standard form and tableau."""
+    key, start = entry
+    return len(key[1]) // 8 + start.std.A.size + (0 if start.tab is None else start.tab.size)
+
+
+def fresh_solve(problem):
+    """solve_lp with phase 1 run afresh."""
+    lp.clear_memo()
+    sol = lp.solve_lp(problem)
+    assert not sol.phase1_reused
+    return sol
+
+
+class TestPhase1Memo:
+    def test_hits_match_fresh_solves_bytewise(self):
+        groups = shared_constraint_groups()
+        hits = []
+        for group in groups:
+            lp.clear_memo()
+            solutions = [lp.solve_lp(problem) for problem in group]
+            assert [sol.phase1_reused for sol in solutions] == [False] + [True] * (len(group) - 1)
+            for problem, sol in zip(group, solutions):
+                assert fingerprint(sol) == fingerprint(fresh_solve(problem))
+            hits.append(solutions[1:])
+        # The redundant row is dropped and the drive-out pivot counted on hits too.
+        assert all(sol.duals.shape == (2,) for sol in hits[-4])
+        assert all(sol.pivots[0] == 1 for sol in hits[-3])
+        hits = [sol for group in hits for sol in group]
+        assert {sol.status for sol in hits} == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+        assert any(sol.status == lp.INFEASIBLE and sol.pivots[0] > 0 for sol in hits)
+        assert any(sol.status == lp.OPTIMAL and sol.pivots[0] > 0 for sol in hits)
+
+    def test_reused_exactly_on_hits(self, monkeypatch):
+        # One constraint set per status: optimal, phase-1 infeasible and
+        # (on free variables) unbounded; the flag must follow hits in each.
+        a = lp.LpProblem([1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [lp.LEQ, lp.GEQ], [4.0, 1.0], 0.0, 3.0)
+        b = lp.LpProblem([1.0, -1.0], [[1.0, 1.0], [1.0, 1.0]], [lp.LEQ, lp.GEQ], [1.0, 2.0], 0.0)
+        c = lp.LpProblem([1.0, 0.0], [[0.0, 1.0]], [lp.LEQ], [1.0])
+        calls = []
+        standardize = lp._standardize
+
+        def counting(problem):
+            calls.append(problem)
+            return standardize(problem)
+
+        monkeypatch.setattr(lp, "_standardize", counting)
+        sequence = [a, b, c, with_objective(a, [2.0, -1.0]), a, with_objective(b, [0.0, 1.0])]
+        sequence += [with_objective(c, [-1.0, 1.0]), with_objective(c, [0.0, 1.0])]
+        sequence += [lp.LpProblem(a.objective, a.A, a.relations, a.rhs + 1e-9, a.lower, a.upper)]
+        sequence += [lp.LpProblem(a.objective, a.A, a.relations, a.rhs, a.lower, a.upper + 0.5)]
+        solutions = [lp.solve_lp(problem) for problem in sequence]
+        assert [sol.status for sol in solutions] == [
+            lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED, lp.OPTIMAL, lp.OPTIMAL, lp.INFEASIBLE,
+            lp.UNBOUNDED, lp.OPTIMAL, lp.OPTIMAL, lp.OPTIMAL,
+        ]
+        flags = [sol.phase1_reused for sol in solutions]
+        assert flags == [False, False, False, True, True, True, True, True, False, False]
+        # A hit neither standardizes nor runs phase 1.
+        assert len(calls) == flags.count(False)
+
+    def test_memo_arrays_reject_writes(self):
+        for group in shared_constraint_groups()[::9]:
+            for problem in group:
+                sol = lp.solve_lp(problem)
+                arrays = memo_arrays()
+                assert arrays
+                for arr in arrays:
+                    assert not arr.flags.writeable
+                    if arr.size:
+                        with pytest.raises(ValueError, match="read-only"):
+                            arr.flat[0] = 0
+                returned = [v for v in (sol.x, sol.duals) if v is not None]
+                assert not any(np.shares_memory(v, arr) for v in returned for arr in arrays)
+
+    def test_caller_mutation_misses(self):
+        rng = np.random.default_rng(71)
+        edits = [
+            lambda p: p.A.__setitem__((0, 1), p.A[0, 1] + 0.25),
+            lambda p: p.rhs.__setitem__(0, p.rhs[0] - 0.5),
+            lambda p: p.relations.__setitem__(0, lp.GEQ if p.relations[0] != lp.GEQ else lp.LEQ),
+            lambda p: p.lower.__setitem__(1, -1.0),
+            lambda p: p.upper.__setitem__(0, 0.25),
+        ]
+        for _ in range(10):
+            for edit in edits:
+                problem = TestSolutionContracts._random_problem(rng, 3, 3)
+                lp.clear_memo()
+                lp.solve_lp(problem)
+                edit(problem)  # the caller's own arrays, after the solve
+                sol = lp.solve_lp(problem)
+                assert not sol.phase1_reused
+                copy = lp.LpProblem(
+                    problem.objective, problem.A.copy(), problem.relations.copy(),
+                    problem.rhs.copy(), problem.lower.copy(), problem.upper.copy(),
+                )
+                assert fingerprint(sol) == fingerprint(fresh_solve(copy))
+
+    def test_entry_count_and_size_cap(self, monkeypatch):
+        default_cap = lp._MEMO_MAX_ELEMENTS
+        rng = np.random.default_rng(73)
+        problems = [TestSolutionContracts._random_problem(rng) for _ in range(10)]
+        for problem in problems:
+            lp.solve_lp(problem)
+            assert len(lp._memo) <= lp._MEMO_ENTRIES
+        assert len(lp._memo) == lp._MEMO_ENTRIES
+        # The least recently used entries went first.
+        recent = problems[-lp._MEMO_ENTRIES:]
+        assert all(lp.solve_lp(p).phase1_reused for p in recent)
+        assert not lp.solve_lp(problems[0]).phase1_reused
+        assert all(held(entry) <= lp._MEMO_MAX_ELEMENTS for entry in lp._memo)
+        # With only "<=" rows, b >= 0 and lower bounds alone, the bound is
+        # exact: 12 numbers of the key's A, 12 of the standard-form A and
+        # 4 x 8 of a tableau with a slack on every row and no artificial.
+        # The entry fits a cap of its size and not one less.
+        tight = lp.LpProblem([1.0, 2.0, 0.5, 1.0], rng.uniform(0.1, 1.0, (3, 4)), [lp.LEQ] * 3, [1.0, 2.0, 3.0], 0.0)
+        for cap, stored in ((55, False), (56, True)):
+            monkeypatch.setattr(lp, "_MEMO_MAX_ELEMENTS", cap)
+            lp.clear_memo()
+            lp.solve_lp(tight)
+            assert bool(lp._memo) == stored
+        assert held(lp._memo[0]) == 56
+        monkeypatch.setattr(lp, "_MEMO_MAX_ELEMENTS", default_cap)
+        # The n = 20 W1 dual's tableau alone exceeds the cap: no key, no entry.
+        rng = np.random.default_rng(3)
+        space = suites.random_metric_space(rng, 20, "plane")
+        mu1, mu2 = suites.random_distribution(rng, 20), suites.random_distribution(rng, 20)
+        recorded = []
+        solve = lp.solve_lp
+        monkeypatch.setattr(lp, "solve_lp", lambda p: recorded.append(p) or solve(p))
+        transport.wasserstein_dual(mu1, mu2, space, 1.0)
+        monkeypatch.setattr(lp, "solve_lp", solve)
+        (big,) = recorded
+        assert lp._memo_key(big) is None
+        before = list(lp._memo)
+        assert not lp.solve_lp(big).phase1_reused
+        assert not lp.solve_lp(big).phase1_reused
+        assert lp._memo == before
+        # Lowered caps: an entry is stored only when it fits, and it always does.
+        for cap in (0, 40, 120, 400, 2_000):
+            monkeypatch.setattr(lp, "_MEMO_MAX_ELEMENTS", cap)
+            for problem in problems:
+                lp.clear_memo()
+                lp.solve_lp(problem)
+                assert all(held(entry) <= cap for entry in lp._memo)
+                assert (lp._memo_key(problem) is None) == (not lp._memo)
+
+    def test_threads_share_no_mutable_state(self):
+        # More threads than cores, switching often, all on a few constraint
+        # sets: a shared tableau or basis, or a lost update of the entry
+        # list, would change bits or break the bound.
+        groups = shared_constraint_groups()
+        problems = [p for group in groups[-2:] + groups[:3] + groups[80:82] for p in group]
+        expected = [fingerprint(fresh_solve(p)) for p in problems]
+        lp.clear_memo()
+        offsets = [0, 7, 13, 21] * 20
+
+        def solve_all(offset):
+            out = []
+            for problem in problems[offset:] + problems[:offset]:
+                sol = lp.solve_lp(problem)
+                with lp._memo_lock:
+                    keys = [key for key, _ in lp._memo]
+                assert len(keys) <= lp._MEMO_ENTRIES
+                assert all(keys[i] != keys[j] for i in range(len(keys)) for j in range(i))
+                out.append((fingerprint(sol), sol.phase1_reused))
+            return out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(solve_all, offset) for offset in offsets]
+                runs = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for offset, run in zip(offsets, runs):
+            assert [f for f, _ in run] == expected[offset:] + expected[:offset]
+        assert any(reused for run in runs for _, reused in run)
 
 
 class TestBlockPivot:
@@ -359,10 +606,14 @@ class TestBlockPivot:
         monkeypatch.setattr(lp, "_run_simplex", recording_run)
 
         def solve_all(gate):
+            # A memo hit would skip the phase-1 pivots the count below expects.
+            lp.clear_memo()
             monkeypatch.setattr(lp, "_BLOCK_MIN_SIZE", gate)
             sizes.clear()
             tableaux.clear()
-            return [fingerprint(lp.solve_lp(problem)) for problem in problems], list(tableaux)
+            solutions = [lp.solve_lp(problem) for problem in problems]
+            assert not any(sol.phase1_reused for sol in solutions)
+            return [fingerprint(sol) for sol in solutions], list(tableaux)
 
         default = solve_all(lp._BLOCK_MIN_SIZE)
         assert min(sizes) < lp._BLOCK_MIN_SIZE <= max(sizes)
@@ -490,12 +741,12 @@ class TestPivotLoop:
         state = {}
 
         def recording_run(tab, basis, ncols, work):
-            std = state["std"]
+            std, c = state["std"], state["c"]
             if ncols == std.A.shape[1] + np.count_nonzero(std.sense):
                 # Phase 2 starts from the cost row priced out over every
                 # basic row in order, as the old loop over all rows did.
                 c_min = np.zeros(ncols)
-                c_min[: std.c.shape[0]] = -std.c
+                c_min[: c.shape[0]] = -c
                 row = np.append(c_min, 0.0)
                 for p in range(tab.shape[0] - 1):
                     cb = c_min[basis[p]]
@@ -509,6 +760,8 @@ class TestPivotLoop:
             return result
 
         def solve_all(parts, gate):
+            # Each run must make its own phase 1, not reuse the other run's.
+            lp.clear_memo()
             state.update(loop=parts[0], tableaux=[], phase2=0, largest=0)
             monkeypatch.setattr(lp, "_BLOCK_MIN_SIZE", gate)
             monkeypatch.setattr(lp, "_run_simplex", recording_run)
@@ -517,7 +770,11 @@ class TestPivotLoop:
             solutions = []
             for problem in loop_problems:
                 state["std"] = lp._standardize(problem)
-                solutions.append(fingerprint(lp.solve_lp(problem)))
+                state["c"] = state["std"].costs(problem.objective)[0]
+                sol = lp.solve_lp(problem)
+                # Two bound-only LPs of the family share their constraints, so
+                # one hit is expected; any more would be the other run's.
+                solutions.append(fingerprint(sol) + (sol.phase1_reused,))
             return solutions, state["tableaux"], state["phase2"], state["largest"]
 
         # The default gate sends the largest W1 duals through the block
@@ -526,6 +783,7 @@ class TestPivotLoop:
             new = solve_all(new_parts, gate)
             assert new == solve_all(old_parts, gate)
         solutions, _, phase2, largest = new
+        assert sum(f[-1] for f in solutions) == 1
         assert {f[0] for f in solutions} == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
         assert phase2 > len(loop_problems) // 2
         assert largest >= lp._BLOCK_MIN_SIZE
@@ -545,6 +803,7 @@ class TestPivotLoop:
         solve = lp.solve_lp
 
         def totals(run):
+            lp.clear_memo()
             pivots = []
 
             def counting_solve(problem):

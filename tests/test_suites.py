@@ -133,6 +133,30 @@ class TestTheoremSuite:
         assert max(excess) > 0.0  # rounding error, so every bit of K(Q) counts
         assert rep.details["recursion_max_excess"] == max(excess)
 
+    def test_sweep_count_and_later_sweep_slack_equal_double_loop(self):
+        # On generator MDPs sweep 1 meets the recursion with equality, so
+        # the excess reads 0.0; the slack of sweeps 2, 3, ... must not.
+        mdps = [generate_lipschitz_mdp(6, 2, 0.9, 0.5, seed=7), generate_lipschitz_mdp(5, 3, 0.7, 0.3, seed=2)]
+        sweeps, slacks = 0, []
+        for mdp in mdps:
+            kr, kw = mdp.measured_reward_constant, mdp.measured_kernel_constant
+            for op in _default_operator_grid():
+                prev = [0.0]
+
+                def on_sweep(it, q, _diff, mdp=mdp, kr=kr, kw=kw, prev=prev):
+                    nonlocal sweeps
+                    kq = triu_scan_constant(q, mdp.space.dist)
+                    sweeps += 1
+                    if it >= 2:
+                        slacks.append((kr + mdp.gamma * kw * prev[0]) - kq)
+                    prev[0] = kq
+
+                gvi(mdp, op, delta=1e-10, on_sweep=on_sweep)
+        rep = theorem_suite(seed=0, trials=2, mdps=mdps)
+        assert rep.details["recursion_max_excess"] == 0.0
+        assert rep.details["recursion_sweeps"] == sweeps > 2 * len(_default_operator_grid())
+        assert rep.details["recursion_min_slack"] == min(slacks) > 0.0
+
 
 class TestReports:
     def test_worst_cell_reproducible(self):

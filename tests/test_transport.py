@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wassmdp import lp
+from wassmdp import lp, transport
 from wassmdp.metric import MetricSpace, lipschitz_constant
 from wassmdp.suites import cell_rng, random_distribution, random_metric_space
 from wassmdp.transport import (
@@ -207,10 +207,13 @@ def test_block_pivots_match_dense_pivots_bytewise(n, monkeypatch):
     solve = lp.solve_lp
 
     def run(gate):
+        # The second run must pivot through phase 1 itself, not reuse the first's.
+        lp.clear_memo()
         pivots = []
 
         def recording_solve(problem):
             sol = solve(problem)
+            assert not sol.phase1_reused
             pivots.append(sol.pivots)
             return sol
 
@@ -224,6 +227,48 @@ def test_block_pivots_match_dense_pivots_bytewise(n, monkeypatch):
     block, dense = run(0), run(2**62)
     assert block == dense
     assert all(sum(counts) > n for counts in dense[1])
+
+
+def test_lp_inputs_match_the_per_call_construction():
+    # The cached constraint arrays must hand solve_lp the very bytes that
+    # building them on every call did.
+    recorded = []
+    solve = lp.solve_lp
+
+    def record(problem):
+        recorded.append(problem)
+        return solve(problem)
+
+    lp.solve_lp = record
+    try:
+        for n in range(2, 16):
+            rng = cell_rng(17, n)
+            space = random_metric_space(rng, n)
+            mu1, mu2 = random_distribution(rng, n), random_distribution(rng, n)
+            recorded.clear()
+            wasserstein_primal(mu1, mu2, space)
+            wasserstein_dual(mu1, mu2, space, 1.5)
+            primal, dual = recorded
+            marginals = np.vstack([np.repeat(np.eye(n), n, axis=1), np.tile(np.eye(n), n)])
+            old = lp.LpProblem(-space.dist.ravel(), marginals, (lp.EQ,) * (2 * n),
+                               np.concatenate([mu1.p, mu2.p]), lower=0.0)
+            s1, s2 = np.nonzero(~np.eye(n - 1, dtype=bool))
+            rows = np.arange(s1.shape[0])
+            pairs = np.zeros((s1.shape[0], n - 1))
+            pairs[rows, s1] = 1.0
+            pairs[rows, s2] = -1.0
+            reach = 1.5 * space.dist[0, 1:]
+            old_dual = lp.LpProblem((mu1.p - mu2.p)[1:], pairs, (lp.LEQ,) * rows.shape[0],
+                                    1.5 * space.dist[1:, 1:][s1, s2], -reach, reach)
+            for new, want in ((primal, old), (dual, old_dual)):
+                for name in ("objective", "A", "relations", "rhs", "lower", "upper"):
+                    got, expected = getattr(new, name), getattr(want, name)
+                    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+                    assert got.tobytes() == expected.tobytes()
+    finally:
+        lp.solve_lp = solve
+    for build in (transport._primal_constraints, transport._dual_constraints):
+        assert all(not a.flags.writeable for a in build(6))
 
 
 def test_dual_potential_invariant_enforced():
