@@ -8,7 +8,10 @@ phase-1 memo emptied before each solve.  A third row, ``dual-hit``, times
 the dual of a second pair on the same space: the same constraints under
 another objective, solved right after the first dual, so phase 1 comes
 from the memo where the LP is small enough for it (the ``reused``
-column).  Prints the time per solve, the pivots of phase 1 and phase 2,
+column).  A fourth row, ``answer-hit``, times the first dual solved a
+second time: where the LP fits the memo, the stored answer comes back
+without a pivot (the ``answer`` column).  Prints the time per solve,
+the pivots of phase 1 and phase 2,
 and the time per pivot, which includes the solve's fixed cost spread
 over its pivots.  Run it with ``OPENBLAS_NUM_THREADS=1`` for stable
 figures:
@@ -55,17 +58,18 @@ def main():
     args = ap.parse_args()
 
     print(
-        f"{'program':8} {'n':>3} {'rows':>5} {'vars':>5} {'ms/solve':>9} "
-        f"{'phase 1':>8} {'phase 2':>8} {'us/pivot':>9} {'reused':>7}"
+        f"{'program':10} {'n':>3} {'rows':>5} {'vars':>5} {'ms/solve':>9} "
+        f"{'phase 1':>8} {'phase 2':>8} {'us/pivot':>9} {'reused':>7} {'answer':>7}"
     )
     for n in args.sizes:
         primal, dual, second = w1_problems(n, args.seed)
-        for name, problem in (("primal", primal), ("dual", dual), ("dual-hit", second)):
+        programs = (("primal", primal), ("dual", dual), ("dual-hit", second), ("answer-hit", dual))
+        for name, problem in programs:
             best = float("inf")
             for _ in range(args.repeat):
                 lp.clear_memo()
-                if name == "dual-hit":
-                    lp.solve_lp(dual)  # leaves its phase 1 in the memo
+                if name.endswith("-hit"):
+                    lp.solve_lp(dual)  # leaves its phase 1 and its answer in the memo
                 start = time.perf_counter()
                 sol = lp.solve_lp(problem)
                 best = min(best, time.perf_counter() - start)
@@ -73,8 +77,8 @@ def main():
             per_pivot = best * 1e6 / max(p1 + p2, 1)
             rows, nvars = problem.A.shape
             print(
-                f"{name:8} {n:3d} {rows:5d} {nvars:5d} {best * 1e3:9.2f} "
-                f"{p1:8d} {p2:8d} {per_pivot:9.1f} {str(sol.phase1_reused):>7}"
+                f"{name:10} {n:3d} {rows:5d} {nvars:5d} {best * 1e3:9.2f} "
+                f"{p1:8d} {p2:8d} {per_pivot:9.1f} {str(sol.phase1_reused):>7} {str(sol.answer_reused):>7}"
             )
 
 

@@ -3,7 +3,8 @@
 Subcommands run verification suites and experiments from JSON config
 files (flags override config keys) and write machine-readable reports.
 Report bodies are byte-identical for identical config and seed;
-timestamps live in a sidecar file next to each report.
+timestamps and the LP memo's counts (``lp.memo_counts()``) live in a
+sidecar file next to each report.
 
 Exit codes: 0 pass, 1 suite failure or runtime error, 2 usage or config
 error.
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import learner, suites
+from . import learner, lp, suites
 from .mdp import MdpFormatError, generate_lipschitz_mdp, load_mdp, save_mdp
 from .planner import GviConvergenceError, gvi, parse_operator
 
@@ -110,7 +111,10 @@ def _write_report(out_dir, name, body) -> str:
     with open(path, "w") as fh:
         json.dump(_jsonable(body), fh, sort_keys=True, indent=2)
         fh.write("\n")
-    meta = {"created": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+    meta = {
+        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "lp_memo": lp.memo_counts(),
+    }
     with open(path.replace(".json", ".meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
@@ -339,6 +343,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    # The sidecar's memo counts cover this command alone; no bit depends on it.
+    lp.clear_memo()
     try:
         if args.command == "verify":
             return _cmd_verify(args)

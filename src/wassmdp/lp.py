@@ -50,10 +50,29 @@ recently used out first, and an LP whose entry could exceed
 ``_MEMO_MAX_ELEMENTS`` numbers (about 1 MiB) is neither keyed nor
 stored.  Stored arrays are read-only, each solve works on its own copies,
 and a lock guards the entry list, so threads may solve concurrently.
+
+The memo also keeps whole answers.  An answer's key is the phase-1 key
+plus the exact bytes of the objective, so a dict hit is still compared
+byte for byte, and an objective entry of -0.0 where the stored one has
++0.0 is a miss.  When both match an earlier solve, ``solve_lp`` returns
+that solve's status, x, objective, duals, dual objective and pivot
+counts without standardizing, pivoting, refactorizing or certifying
+again.  The stored answer was certified when it was solved, and the
+solver is deterministic, so a fresh solve would return the same bits.
+Answers of every status are kept, for the LPs the phase-1 memo admits
+only, up to ``_MEMO_MAX_ELEMENTS`` numbers in all, least recently used
+out first.  The count includes the keys, with one shared copy of each
+distinct ``A`` (every W1 primal of one size has the same), and
+``_ANSWER_OVERHEAD`` per answer for its Python objects.  They serve
+finite-difference model fits,
+whose loss evaluations re-solve every cell a bumped parameter leaves
+unchanged.
 """
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import threading
 from dataclasses import dataclass
 
@@ -72,8 +91,13 @@ _PIVOT_TOL = 1e-10
 _BLOCK_MIN_SIZE = 30_000
 # Phase-1 memo: the number of entries kept, and the most numbers one entry
 # may hold (the key's copy of A, the standard-form matrix and the tableau).
+# The stored answers together hold at most _MEMO_MAX_ELEMENTS numbers too,
+# each counting _ANSWER_OVERHEAD numbers for its Python objects: the key
+# tuple and its bytes objects, the arrays and the solution take about 1 KiB
+# besides the numbers they hold.
 _MEMO_ENTRIES = 4
 _MEMO_MAX_ELEMENTS = 131_072
+_ANSWER_OVERHEAD = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,6 +178,12 @@ class LpSolution:
     from the memo, keyed by the exact bytes of the constraint data; phase 1
     was then not run again, ``pivots`` still reports the phase-1 count of
     the basis used, and every other field has the bits a fresh solve gives.
+    ``answer_reused`` is true when the whole answer came from the memo,
+    keyed by the exact bytes of the constraint data and the objective.  It
+    is the stored answer of an earlier certified solve, which the
+    deterministic solver would repeat bit for bit, and ``phase1_reused``
+    is true as well.  ``x`` and ``duals`` are the caller's own writable
+    arrays either way.
     """
 
     status: str
@@ -163,6 +193,7 @@ class LpSolution:
     dual_objective_value: float | None = None
     pivots: tuple[int, int] = (0, 0)
     phase1_reused: bool = False
+    answer_reused: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,13 +378,33 @@ class _Phase1:
 
 
 _memo: list = []  # (key, read-only _Phase1) pairs, most recently used first
+# Answer key -> (numbers held besides A, LpSolution with read-only arrays),
+# least recently used first; the bytes of A -> [the copy their keys share,
+# how many keys do]; and the numbers held, each shared A counted once.
+_answers: collections.OrderedDict = collections.OrderedDict()
+_answer_A: dict = {}
+_answers_held = 0
+_counts = {"solves": 0, "phase1_reused": 0, "answer_reused": 0}
 _memo_lock = threading.Lock()
 
 
 def clear_memo():
-    """Forget every stored phase-1 result."""
+    """Forget every stored phase-1 result and answer, and zero ``memo_counts()``."""
+    global _answers_held
     with _memo_lock:
         _memo.clear()
+        _answers.clear()
+        _answer_A.clear()
+        _answers_held = 0
+        _counts.update(dict.fromkeys(_counts, 0))
+
+
+def memo_counts() -> dict:
+    """The solves since the last ``clear_memo()``, and how many of them came
+    back with ``phase1_reused`` and with ``answer_reused`` set; an answer
+    hit counts as a phase-1 hit too, as its flags say."""
+    with _memo_lock:
+        return dict(_counts)
 
 
 def _memo_key(problem):
@@ -380,13 +431,29 @@ def _memo_key(problem):
     )
 
 
-def _memo_lookup(key):
+def _memo_lookup(key, answer_key):
+    """The stored answer, or else the stored phase-1 result, for one solve.
+
+    Returns (answer, start), at most one of them not None, and counts the
+    solve; an unkeyed LP (``key`` None) is only counted.
+    """
     with _memo_lock:
+        _counts["solves"] += 1
+        if key is None:
+            return None, None
+        # A dict hit compares the tuples of shapes and bytes exactly too.
+        entry = _answers.get(answer_key)
+        if entry is not None:
+            _answers.move_to_end(answer_key)
+            _counts["phase1_reused"] += 1
+            _counts["answer_reused"] += 1
+            return entry[1], None
         for i, (stored, start) in enumerate(_memo):
             if stored == key:  # tuples of shapes and bytes: an exact comparison
                 _memo.insert(0, _memo.pop(i))
-                return start
-    return None
+                _counts["phase1_reused"] += 1
+                return None, start
+    return None, None
 
 
 def _memo_store(key, start):
@@ -402,6 +469,49 @@ def _memo_store(key, start):
         _memo[:] = [entry for entry in _memo if entry[0] != key]
         _memo.insert(0, (key, start))
         del _memo[_MEMO_ENTRIES:]
+
+
+def _copies(*arrays):
+    """A fresh copy of each array; None stays None."""
+    return [None if a is None else a.copy() for a in arrays]
+
+
+def _memo_store_answer(answer_key, sol):
+    """Keep a read-only copy of ``sol``'s arrays; the caller keeps ``sol``.
+
+    An answer holds its key's numbers, its x and duals and
+    ``_ANSWER_OVERHEAD`` for its objects, except that answers whose ``A``
+    has the same bytes (every W1 primal of one size) share one copy of
+    them, counted once.  Answers are dropped least recently used first
+    until all of them together hold at most ``_MEMO_MAX_ELEMENTS`` numbers.
+    """
+    global _answers_held
+    x, duals = _copies(sol.x, sol.duals)
+    held = _ANSWER_OVERHEAD + sum(len(part) for part in answer_key[2:]) // 8
+    for a in (x, duals):
+        if a is not None:
+            a.setflags(write=False)
+            held += a.size
+    stored = dataclasses.replace(sol, x=x, duals=duals, phase1_reused=True, answer_reused=True)
+    a_bytes = answer_key[1]
+    with _memo_lock:
+        if held + len(a_bytes) // 8 > _MEMO_MAX_ELEMENTS or answer_key in _answers:
+            return
+        shared = _answer_A.get(a_bytes)
+        if shared is None:
+            shared = _answer_A[a_bytes] = [a_bytes, 0]
+            _answers_held += len(a_bytes) // 8
+        shared[1] += 1
+        _answers[(answer_key[0], shared[0]) + answer_key[2:]] = (held, stored)
+        _answers_held += held
+        while _answers_held > _MEMO_MAX_ELEMENTS:
+            key, (dropped, _) = _answers.popitem(last=False)
+            _answers_held -= dropped
+            shared = _answer_A[key[1]]
+            shared[1] -= 1
+            if not shared[1]:
+                del _answer_A[key[1]]
+                _answers_held -= len(key[1]) // 8
 
 
 def _phase1(std):
@@ -477,10 +587,24 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     Infeasibility and unboundedness are reported through the status, not
     by raising; only malformed input raises, and so does an optimum that
     fails its certificate: x must be feasible and the objective must agree
-    with the dual objective to ``FEASIBILITY_TOL`` relative to it.
+    with the dual objective to ``FEASIBILITY_TOL`` relative to it.  A
+    byte-identical repeat of an LP still in the memo returns the stored
+    answer, with fresh copies of its arrays.
     """
     key = _memo_key(problem)
-    start = None if key is None else _memo_lookup(key)
+    answer_key = None if key is None else key + (problem.objective.tobytes(),)
+    answer, start = _memo_lookup(key, answer_key)
+    if answer is not None:
+        x, duals = _copies(answer.x, answer.duals)
+        return dataclasses.replace(answer, x=x, duals=duals)
+    sol = _solve(problem, key, start)
+    if answer_key is not None:
+        _memo_store_answer(answer_key, sol)
+    return sol
+
+
+def _solve(problem, key, start):
+    """solve_lp past the memo lookup: ``start`` is the stored phase-1 result or None."""
     reused = start is not None
     if reused:
         # Phase 2 writes its tableau and basis; the stored ones are read-only.

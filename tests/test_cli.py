@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wassmdp import lp
 from wassmdp.cli import main
 from wassmdp.mdp import load_mdp
 
@@ -164,6 +165,42 @@ class TestRun:
         assert cross[0].startswith("model,")
         out = capsys.readouterr().out
         assert out.count("run compare [") == 3
+
+    def test_sidecar_counts_memo_hits_and_body_stays_identical(self, tmp_path, monkeypatch):
+        # A rank-2 Wasserstein fit re-solves every cell a bumped weight
+        # leaves unchanged, so answers come from the memo; the report body
+        # must be the bytes of a run that solves every LP afresh.
+        cfg = _write(tmp_path, "learn.json", {
+            "generator": {"states": 4, "actions": 2, "seed": 5},
+            "kind": "wasserstein", "iters": 1, "step_size": 0.5, "model_rank": 2,
+        })
+        solve = lp.solve_lp
+        flags = []
+
+        def recording(problem):
+            sol = solve(problem)
+            flags.append((sol.phase1_reused, sol.answer_reused))
+            return sol
+
+        def fresh(problem):
+            lp.clear_memo()
+            return solve(problem)
+
+        bodies = {}
+        for name, wrapper in (("memo", recording), ("fresh", fresh)):
+            monkeypatch.setattr(lp, "solve_lp", wrapper)
+            assert run_cli("run", "learn", "--config", str(cfg), "--out", str(tmp_path / name)) == 0
+            bodies[name] = (tmp_path / name / "train_report.json").read_bytes()
+        assert bodies["memo"] == bodies["fresh"]
+        meta = json.loads((tmp_path / "memo" / "train_report.meta.json").read_text())
+        assert set(meta) == {"created", "lp_memo"}
+        assert meta["lp_memo"] == {
+            "solves": len(flags),
+            "phase1_reused": sum(p1 for p1, _ in flags),
+            "answer_reused": sum(hit for _, hit in flags),
+        }
+        assert 0 < meta["lp_memo"]["answer_reused"] <= meta["lp_memo"]["phase1_reused"] < len(flags)
+        assert b"lp_memo" not in bodies["memo"]
 
     def test_missing_mdp_file_exit_2_names_path(self, tmp_path, capsys):
         cfg = _write(tmp_path, "gone.json", {"mdp": str(tmp_path / "nope.json")})

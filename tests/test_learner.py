@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from wassmdp import lp
 from wassmdp.learner import (
     FitConfig,
     KL_LOSS,
@@ -259,3 +262,50 @@ class TestCompareLosses:
     def test_empty_kinds_rejected(self):
         with pytest.raises(ValueError):
             compare_losses(small_mdp(seed=18), [], FitConfig(iters=5))
+
+
+class TestAnswerMemo:
+    def test_fits_match_fresh_solves_and_hits_match_repeats(self, monkeypatch):
+        # Finite differences of the rank-limited class re-solve every cell a
+        # bumped weight leaves unchanged, and compare_losses re-scores the
+        # fitted models; the memo answers exactly those byte-identical
+        # repeats, and the reports match a run that solves every LP afresh.
+        mdp = small_mdp(seed=4, n=4, m=2)
+        config = FitConfig(iters=1, step_size=0.5, model_rank=2)
+        runs = {
+            "wasserstein": lambda: fit_model(mdp, WASSERSTEIN_LOSS, config),
+            "vaml": lambda: fit_model(mdp, vaml_loss_kind(), config),
+            "compare": lambda: compare_losses(mdp, [KL_LOSS, WASSERSTEIN_LOSS, vaml_loss_kind()], config),
+        }
+        solve = lp.solve_lp
+
+        def run(name, fresh):
+            lp.clear_memo()
+            seen, repeats, hits = set(), 0, 0
+
+            def recording(problem):
+                nonlocal repeats, hits
+                if fresh:
+                    lp.clear_memo()
+                sol = solve(problem)
+                digest = hashlib.sha1()
+                p = problem
+                for a in (p.objective, p.A, p.relations, p.rhs, p.lower, p.upper):
+                    digest.update(repr(a.shape).encode() + a.tobytes())
+                repeats += digest.digest() in seen
+                seen.add(digest.digest())
+                hits += sol.answer_reused
+                return sol
+
+            monkeypatch.setattr(lp, "solve_lp", recording)
+            result = runs[name]().to_json_dict()
+            monkeypatch.setattr(lp, "solve_lp", solve)
+            return result, repeats, hits
+
+        for name in runs:
+            with_memo, repeats, hits = run(name, fresh=False)
+            afresh, fresh_repeats, fresh_hits = run(name, fresh=True)
+            assert with_memo == afresh
+            assert repeats == fresh_repeats > 0
+            assert hits == repeats
+            assert fresh_hits == 0

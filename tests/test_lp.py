@@ -300,7 +300,8 @@ class TestSolutionContracts:
                 lp._certify(problem, sol.x, sol.objective_value, dual_value)
         # The objective's constant term enters the dual objective alone, so
         # shifting it opens a duality gap inside solve_lp, both when phase 1
-        # comes from the memo and when it runs afresh.
+        # comes from the memo and when it runs afresh.  A second objective
+        # keeps the stored answer of the first solve out of it.
         costs = lp._Standard.costs
 
         def shifted(std, objective):
@@ -308,12 +309,15 @@ class TestSolutionContracts:
             return c, offset + 1e-6
 
         monkeypatch.setattr(lp._Standard, "costs", shifted)
-        assert lp._memo
+        second = with_objective(problem, [2.0, 1.0])
+        assert [key for key, _ in lp._memo] == [lp._memo_key(second)]
+        assert not lp._answers.keys() & {lp._memo_key(second) + (second.objective.tobytes(),)}
         with pytest.raises(ArithmeticError, match="dual objective"):
-            lp.solve_lp(problem)
+            lp.solve_lp(second)
+        assert lp.memo_counts() == {"solves": 2, "phase1_reused": 1, "answer_reused": 0}
         lp.clear_memo()
         with pytest.raises(ArithmeticError, match="dual objective"):
-            lp.solve_lp(problem)
+            lp.solve_lp(second)
 
     def test_degenerate_problem_terminates(self):
         # many redundant rows through the same vertex
@@ -381,14 +385,39 @@ def shared_constraint_groups():
 
 
 def memo_arrays():
-    """Every array the memo holds."""
+    """Every array the memo holds, in phase-1 results and in answers."""
     arrays = []
     for _, start in lp._memo:
         std = start.std
         arrays += [std.A, std.b, std.sense, std.src, std.signs, std.q, std.first, std.split, start.slack_rows]
         if start.tab is not None:
             arrays += [start.tab, start.basis, start.kept]
+    for _, sol in lp._answers.values():
+        arrays += [a for a in (sol.x, sol.duals) if a is not None]
     return arrays
+
+
+def answers_held():
+    """The numbers the stored answers hold, recounted from their keys and arrays.
+
+    Each answer counts its objects, its key's bytes besides A, its x and
+    its duals; each distinct A counts once, and answers with equal A share
+    one bytes object.
+    """
+    total = 0
+    for key, (held, sol) in lp._answers.items():
+        own = lp._ANSWER_OVERHEAD + sum(len(part) for part in key[2:]) // 8
+        own += sum(a.size for a in (sol.x, sol.duals) if a is not None)
+        assert held == own
+        total += own
+    matrices = {key[1] for key in lp._answers}
+    assert len({id(key[1]) for key in lp._answers}) == len(matrices)
+    assert set(lp._answer_A) == matrices
+    return total + sum(len(a) // 8 for a in matrices)
+
+
+def answer_key(problem):
+    return lp._memo_key(problem) + (problem.objective.tobytes(),)
 
 
 def held(entry):
@@ -497,10 +526,14 @@ class TestPhase1Memo:
             lp.solve_lp(problem)
             assert len(lp._memo) <= lp._MEMO_ENTRIES
         assert len(lp._memo) == lp._MEMO_ENTRIES
-        # The least recently used entries went first.
-        recent = problems[-lp._MEMO_ENTRIES:]
-        assert all(lp.solve_lp(p).phase1_reused for p in recent)
-        assert not lp.solve_lp(problems[0]).phase1_reused
+        # The least recently used entries went first.  New objectives probe
+        # the phase-1 entries, which verbatim repeats would answer from the
+        # stored answers instead.
+        probes = [with_objective(p, rng.normal(size=p.n_vars)) for p in problems]
+        recent = probes[-lp._MEMO_ENTRIES:]
+        assert all(sol.phase1_reused and not sol.answer_reused for sol in map(lp.solve_lp, recent))
+        sol = lp.solve_lp(probes[0])
+        assert not sol.phase1_reused and not sol.answer_reused
         assert all(held(entry) <= lp._MEMO_MAX_ELEMENTS for entry in lp._memo)
         # With only "<=" rows, b >= 0 and lower bounds alone, the bound is
         # exact: 12 numbers of the key's A, 12 of the standard-form A and
@@ -554,9 +587,11 @@ class TestPhase1Memo:
                 sol = lp.solve_lp(problem)
                 with lp._memo_lock:
                     keys = [key for key, _ in lp._memo]
+                    held = answers_held()
+                    assert held == lp._answers_held <= lp._MEMO_MAX_ELEMENTS
                 assert len(keys) <= lp._MEMO_ENTRIES
                 assert all(keys[i] != keys[j] for i in range(len(keys)) for j in range(i))
-                out.append((fingerprint(sol), sol.phase1_reused))
+                out.append((fingerprint(sol), sol.phase1_reused, sol.answer_reused))
             return out
 
         interval = sys.getswitchinterval()
@@ -568,8 +603,181 @@ class TestPhase1Memo:
         finally:
             sys.setswitchinterval(interval)
         for offset, run in zip(offsets, runs):
-            assert [f for f, _ in run] == expected[offset:] + expected[:offset]
-        assert any(reused for run in runs for _, reused in run)
+            assert [f for f, _, _ in run] == expected[offset:] + expected[:offset]
+        assert any(reused and not answered for run in runs for _, reused, answered in run)
+        assert any(answered for run in runs for _, _, answered in run)
+        counts = lp.memo_counts()
+        assert counts["solves"] == len(offsets) * len(problems)
+        assert counts["answer_reused"] == sum(answered for run in runs for _, _, answered in run)
+
+
+class TestAnswerMemo:
+    def test_hits_match_fresh_solves_bytewise(self):
+        groups = shared_constraint_groups()
+        hits = []
+        for group in groups:
+            lp.clear_memo()
+            first = [lp.solve_lp(problem) for problem in group]
+            again = [lp.solve_lp(problem) for problem in group]
+            assert not any(sol.answer_reused for sol in first)
+            assert all(sol.answer_reused and sol.phase1_reused for sol in again)
+            for problem, sol, hit in zip(group, first, again):
+                assert fingerprint(hit) == fingerprint(sol) == fingerprint(fresh_solve(problem))
+            hits.append(again)
+        # The redundant row is dropped and the drive-out pivot counted on hits too.
+        assert all(sol.duals.shape == (2,) for sol in hits[-4])
+        assert all(sol.pivots[0] == 1 for sol in hits[-3])
+        hits = [sol for group in hits for sol in group]
+        assert {sol.status for sol in hits} == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+        # Crossed bounds are infeasible before phase 1; that answer is kept too.
+        crossed = lp.LpProblem([1.0, 1.0], [[1.0, 1.0]], [lp.LEQ], [4.0], [0.0, 2.0], [1.0, 1.0])
+        assert fingerprint(lp.solve_lp(crossed)) == fingerprint(lp.solve_lp(crossed))
+        assert lp.solve_lp(crossed).answer_reused
+
+    def test_reused_exactly_on_byte_identical_repeats(self, monkeypatch):
+        rng = np.random.default_rng(79)
+        pool = [TestSolutionContracts._random_problem(rng) for _ in range(12)]
+        pool += [with_objective(p, rng.normal(size=p.n_vars)) for p in pool[:6]]
+        calls = {"standardize": 0, "simplex": 0}
+        standardize, run_simplex = lp._standardize, lp._run_simplex
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(lp, "_standardize", counting("standardize", standardize))
+        monkeypatch.setattr(lp, "_run_simplex", counting("simplex", run_simplex))
+        seen = set()
+        for i in rng.integers(0, len(pool), size=80):
+            p = pool[i]
+            # A new LpProblem from copies: equal bytes, no shared objects.
+            problem = lp.LpProblem(
+                p.objective.copy(), p.A.copy(), p.relations.copy(), p.rhs.copy(), p.lower.copy(), p.upper.copy()
+            )
+            before = dict(calls)
+            sol = lp.solve_lp(problem)
+            assert sol.answer_reused == (i in seen)
+            if sol.answer_reused:
+                assert sol.phase1_reused
+                assert calls == before
+            else:
+                assert calls["standardize"] == before["standardize"] + (not sol.phase1_reused)
+            seen.add(i)
+        counts = lp.memo_counts()
+        assert counts["solves"] == 80
+        assert counts["answer_reused"] == 80 - len(seen)
+        lp.clear_memo()
+        assert lp.memo_counts() == {"solves": 0, "phase1_reused": 0, "answer_reused": 0}
+        assert not lp._answers and not lp._answer_A and lp._answers_held == 0
+
+    def test_objective_one_ulp_or_zero_sign_away_misses(self):
+        base = lp.LpProblem([1.0, 0.0, 2.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], [lp.LEQ, lp.GEQ],
+                            [3.0, -1.0], 0.0, 2.0)
+        variants = [
+            [np.nextafter(1.0, 2.0), 0.0, 2.0],
+            [1.0, 0.0, np.nextafter(2.0, 0.0)],
+            [1.0, -0.0, 2.0],
+        ]
+        for objective in variants:
+            lp.clear_memo()
+            lp.solve_lp(base)
+            problem = with_objective(base, objective)
+            assert problem.objective.tobytes() != base.objective.tobytes()
+            sol = lp.solve_lp(problem)
+            assert sol.phase1_reused and not sol.answer_reused
+            assert fingerprint(sol) == fingerprint(fresh_solve(problem))
+            assert lp.solve_lp(problem).answer_reused
+
+    def test_returned_arrays_are_private_and_writable(self):
+        problem = lp.LpProblem([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [lp.LEQ, lp.LEQ], [2.0, 1.0], 0.0)
+        solutions = [lp.solve_lp(problem) for _ in range(3)]
+        expected = fingerprint(solutions[0])
+        assert [sol.answer_reused for sol in solutions] == [False, True, True]
+        arrays = memo_arrays()
+        returned = [a for sol in solutions for a in (sol.x, sol.duals)]
+        for i, a in enumerate(returned):
+            assert a.flags.writeable
+            assert not any(np.shares_memory(a, b) for b in arrays + returned[:i])
+        for sol in solutions:
+            sol.x[:] = -7.0
+            sol.duals[:] = np.nan
+        assert fingerprint(lp.solve_lp(problem)) == expected
+
+    def test_caller_mutation_misses(self):
+        rng = np.random.default_rng(83)
+        edits = [
+            lambda p: p.objective.__setitem__(0, p.objective[0] + 0.5),
+            lambda p: p.A.__setitem__((0, 1), p.A[0, 1] + 0.25),
+            lambda p: p.rhs.__setitem__(0, p.rhs[0] - 0.5),
+            lambda p: p.upper.__setitem__(0, 0.25),
+        ]
+        for _ in range(10):
+            for k, edit in enumerate(edits):
+                problem = TestSolutionContracts._random_problem(rng, 3, 3)
+                lp.clear_memo()
+                lp.solve_lp(problem)
+                edit(problem)  # the caller's own arrays, after the solve
+                sol = lp.solve_lp(problem)
+                assert not sol.answer_reused
+                assert sol.phase1_reused == (k == 0)
+                copy = lp.LpProblem(
+                    problem.objective.copy(), problem.A.copy(), problem.relations.copy(),
+                    problem.rhs.copy(), problem.lower.copy(), problem.upper.copy(),
+                )
+                assert fingerprint(sol) == fingerprint(fresh_solve(copy))
+
+    def test_budget_holds_and_least_recently_used_go_first(self, monkeypatch):
+        # A model of the policy: answers in use order, dropped oldest first
+        # until the recounted total fits the budget.  W1 primals of one size
+        # share their A, so they check the shared count as well.
+        rng = np.random.default_rng(89)
+        pool = [TestSolutionContracts._random_problem(rng) for _ in range(10)]
+        space = suites.random_metric_space(rng, 5, "plane")
+        recorded = []
+        solve = lp.solve_lp
+        monkeypatch.setattr(lp, "solve_lp", lambda p: recorded.append(p) or solve(p))
+        for _ in range(6):
+            mu1, mu2 = suites.random_distribution(rng, 5), suites.random_distribution(rng, 5)
+            transport.wasserstein_primal(mu1, mu2, space)
+        monkeypatch.setattr(lp, "solve_lp", solve)
+        pool += recorded
+        monkeypatch.setattr(lp, "_MEMO_MAX_ELEMENTS", 2_000)
+        lp.clear_memo()
+        own, order, hits, drops = {}, [], 0, 0
+        for i in rng.integers(0, len(pool), size=300):
+            key = answer_key(pool[i])
+            hit = key in order
+            sol = lp.solve_lp(pool[i])
+            assert sol.answer_reused == hit
+            hits += hit
+            if hit:
+                order.remove(key)
+            order.append(key)
+            own[key] = lp._answers[key][0]
+            held = answers_held()
+            assert held == lp._answers_held <= lp._MEMO_MAX_ELEMENTS
+            # The policy kept the most recently used suffix of the model's
+            # order and stopped dropping as soon as the total fit.
+            kept = list(lp._answers)
+            assert kept == order[len(order) - len(kept):]
+            if len(kept) < len(order):
+                drops += len(order) - len(kept)
+                last = order[len(order) - len(kept) - 1]
+                shared = any(k[1] == last[1] for k in kept)
+                assert held + own[last] + (0 if shared else len(last[1]) // 8) > lp._MEMO_MAX_ELEMENTS
+            order = kept
+        assert hits > 20 and drops > 20
+        # An answer that cannot fit the budget alone is not stored: without
+        # rows, its phase-1 entry holds 11 numbers and the answer 168.
+        monkeypatch.setattr(lp, "_MEMO_MAX_ELEMENTS", 100)
+        lp.clear_memo()
+        big = lp.LpProblem(-np.ones(10), np.zeros((0, 10)), [], [], 0.0)
+        assert lp._memo_key(big) is not None
+        lp.solve_lp(big)
+        assert not lp._answers and lp._answers_held == 0
+        assert not lp.solve_lp(big).answer_reused
 
 
 class TestBlockPivot:
