@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -35,6 +36,13 @@ _SUITE_EXTRA_KEYS = {
     "theorem": ("delta", "recursion_tol"),
     "operators": (),
     "lemmas": ("chain_trials",),
+}
+
+# The least value of each integer suite setting besides trials, which is 1.
+_SUITE_MINIMA = {
+    "duality": {"max_states": 2},
+    "equivalence": {"max_states": 4, "max_actions": 1},
+    "lemmas": {"chain_trials": 1},
 }
 
 _GENERATOR_KEYS = ("states", "actions", "gamma", "smoothing", "seed", "space_kind", "base")
@@ -158,20 +166,21 @@ def _cmd_verify(args) -> int:
     _check_keys(config, allowed, f"verify {args.suite}")
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     out_dir = args.out if args.out is not None else config.get("out", ".")
-    kwargs = {"seed": int(seed)}
+    kwargs = {"seed": _setting("seed", int, seed)}
     if args.trials is not None:
         kwargs["trials"] = args.trials
     elif "trials" in config:
-        kwargs["trials"] = int(config["trials"])
+        kwargs["trials"] = config["trials"]
     if args.tol is not None:
         kwargs["tol"] = float(args.tol)
     elif "tol" in config:
-        kwargs["tol"] = float(config["tol"])
+        kwargs["tol"] = _setting("tol", float, config["tol"])
     if args.suite == "theorem" and "tol" in kwargs:
         kwargs["bound_tol"] = kwargs.pop("tol")
     for key in _SUITE_EXTRA_KEYS[args.suite]:
         if key in config:
             kwargs[key] = config[key]
+    _check_suite_settings(args.suite, kwargs)
     try:
         report = suites.SUITES[args.suite](**kwargs)
     except TypeError as exc:
@@ -193,12 +202,30 @@ def _setting(key, parse, *args):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _check_suite_settings(suite, kwargs):
+    """Cast the integer settings, delta and recursion_tol in place; reject a
+    value the suite cannot run with, before it starts."""
+    for key, least in {"trials": 1, **_SUITE_MINIMA.get(suite, {})}.items():
+        if key in kwargs:
+            value = kwargs[key] = _setting(key, int, kwargs[key])
+            if value < least:
+                raise ConfigError(f"{key}: must be at least {least}, got {value}")
+    if "delta" in kwargs:
+        delta = kwargs["delta"] = _setting("delta", float, kwargs["delta"])
+        if not (0.0 < delta < math.inf):
+            raise ConfigError(f"delta: must be positive and finite, got {delta!r}")
+    if "recursion_tol" in kwargs:
+        kwargs["recursion_tol"] = _setting("recursion_tol", float, kwargs["recursion_tol"])
+
+
 def _cmd_run_gvi(config, out_dir) -> int:
     op = _setting("operator", parse_operator, config.get("operator", "max"))
     delta = _setting("delta", float, config.get("delta", 1e-10))
     if not (delta > 0.0):
         raise ConfigError(f"delta: must be positive, got {delta!r}")
     max_iter = _setting("max_iter", int, config.get("max_iter", 1_000_000))
+    if max_iter < 1:
+        raise ConfigError(f"max_iter: must be at least 1, got {max_iter}")
     mdp, source = _resolve_mdp(config)
     result = gvi(mdp, op, delta=delta, max_iter=max_iter, in_place=bool(config.get("in_place", False)))
     body = {

@@ -76,21 +76,41 @@ def operator_spec(op: BackupOperator) -> str:
     return f"{op.kind}:{op.param:g}"
 
 
-def _apply_rows(op: BackupOperator, q: np.ndarray) -> np.ndarray:
-    """Apply the operator to every row of a 2-D array."""
+def _row_max(q):
+    return np.maximum.reduce(q, axis=1)
+
+
+def _row_mean(q):
+    return np.add.reduce(q, axis=1) / q.shape[1]  # the two steps of q.mean(axis=1)
+
+
+def _row_backup(op: BackupOperator):
+    """The operator as a function of a 2-D array, one value per row.
+
+    The kind is resolved here, once.  Each function makes the IEEE
+    operations of ``q.max(axis=1)``, ``q.mean(axis=1)`` and ``np.clip`` in
+    the same order, calling the ufuncs without numpy's Python wrappers.
+    """
     if op.kind == "max":
-        return q.max(axis=1)
-    if op.kind == "mean":
-        return q.mean(axis=1)
+        return _row_max
+    if op.kind == "mean" or (op.kind == "mellowmax" and op.param < _MELLOWMAX_MEAN_CUTOFF):
+        return _row_mean
     if op.kind == "eps-greedy":
         eps = op.param
-        return eps * q.mean(axis=1) + (1.0 - eps) * q.max(axis=1)
+        return lambda q: eps * _row_mean(q) + (1.0 - eps) * _row_max(q)
     beta = op.param
-    if beta < _MELLOWMAX_MEAN_CUTOFF:
-        return q.mean(axis=1)
-    top = q.max(axis=1)
-    out = top + np.log(np.mean(np.exp(beta * (q - top[:, None])), axis=1)) / beta
-    return np.clip(out, q.min(axis=1), top)
+
+    def mellowmax(q):
+        top = _row_max(q)
+        out = top + np.log(_row_mean(np.exp(beta * (q - top[:, None])))) / beta
+        return np.minimum(np.maximum(out, np.minimum.reduce(q, axis=1)), top)  # np.clip's bits
+
+    return mellowmax
+
+
+def _apply_rows(op: BackupOperator, q: np.ndarray) -> np.ndarray:
+    """Apply the operator to every row of a 2-D array."""
+    return _row_backup(op)(q)
 
 
 def apply_operator(op: BackupOperator, x) -> float:
@@ -98,9 +118,9 @@ def apply_operator(op: BackupOperator, x) -> float:
     v = np.asarray(x, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("operator applied to an empty vector")
-    if not np.all(np.isfinite(v)):
+    if np.count_nonzero(np.isfinite(v)) < v.size:
         raise ValueError("operator applied to non-finite values")
-    return float(_apply_rows(op, v[None, :])[0])
+    return _apply_rows(op, v[None, :]).item(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +178,8 @@ def gvi(
     """
     if not (delta > 0.0):
         raise ValueError(f"delta must be positive, got {delta!r}")
+    if not (max_iter >= 1):
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     n, m = mdp.n_states, mdp.n_actions
     if q0 is None:
         q = np.zeros((n, m))
@@ -168,28 +190,28 @@ def gvi(
     t_flat = mdp.transition.reshape(n * m, n)
     r = mdp.reward
     gamma = mdp.gamma
+    backup = _row_backup(op)
     diff = np.inf
     for sweep in range(1, max_iter + 1):
         if in_place:
             diff = 0.0
             q = q.copy()
-            v_now = _apply_rows(op, q)
+            v_now = backup(q)
             for s in range(n):
                 for a in range(m):
                     new = r[s, a] + gamma * float(mdp.transition[s, a] @ v_now)
                     diff = max(diff, abs(new - q[s, a]))
                     q[s, a] = new
-                    v_now[s] = _apply_rows(op, q[s : s + 1])[0]  # only row s changed
+                    v_now[s] = backup(q[s : s + 1])[0]  # only row s changed
         else:
-            v_now = _apply_rows(op, q)
+            v_now = backup(q)
             q_next = r + gamma * (t_flat @ v_now).reshape(n, m)
-            diff = float(np.abs(q_next - q).max())
+            diff = np.maximum.reduce(np.abs(q_next - q), axis=None).item()
             q = q_next
         if on_sweep is not None:
             on_sweep(sweep, q.copy(), diff)
         if diff < delta:
-            v = _apply_rows(op, q)
-            return GviResult(QFunction(q), ScalarField(v), sweep, diff)
+            return GviResult(QFunction(q), ScalarField(backup(q)), sweep, diff)
     raise GviConvergenceError(diff, max_iter)
 
 

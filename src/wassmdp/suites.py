@@ -214,17 +214,17 @@ def theorem_suite(
             continue
         bound = kr / (1.0 - mdp.gamma * kw)
         for op in operators:
-            state = {"prev": 0.0}
+            prev = 0.0
 
-            def on_sweep(it, q, _diff, mdp=mdp, kr=kr, kw=kw, state=state):
-                nonlocal recursion_max, recursion_sweeps, recursion_min_slack
-                kq = uniform_lipschitz_constant(q.T, mdp.space).constant
-                allowed = kr + mdp.gamma * kw * state["prev"]
+            def on_sweep(it, q, _diff, space=mdp.space, kr=kr, gamma_kw=mdp.gamma * kw):
+                nonlocal recursion_max, recursion_sweeps, recursion_min_slack, prev
+                kq = uniform_lipschitz_constant(q.T, space).constant
+                allowed = kr + gamma_kw * prev
                 recursion_max = max(recursion_max, kq - allowed)
                 recursion_sweeps += 1
                 if it >= 2:
                     recursion_min_slack = min(recursion_min_slack, allowed - kq)
-                state["prev"] = kq
+                prev = kq
 
             result = gvi(mdp, op, delta=delta, on_sweep=on_sweep)
             kq = uniform_lipschitz_constant(result.q.q.T, mdp.space).constant

@@ -105,6 +105,32 @@ class TestVerify:
     def test_unknown_suite_exit_2(self):
         assert run_cli("verify", "spectral") == 2
 
+    @pytest.mark.parametrize(
+        "suite, flags, settings, named",
+        [
+            ("operators", ("--trials", "-3"), {}, "trials: must be at least 1, got -3"),
+            ("lemmas", (), {"trials": 0}, "trials: must be at least 1, got 0"),
+            ("theorem", (), {"delta": 0}, "delta: must be positive and finite, got 0.0"),
+            ("theorem", (), {"delta": float("inf")}, "delta: must be positive and finite, got inf"),
+            ("duality", (), {"max_states": 1}, "max_states: must be at least 2, got 1"),
+            ("equivalence", (), {"max_states": 3}, "max_states: must be at least 4, got 3"),
+            ("equivalence", (), {"max_actions": 0}, "max_actions: must be at least 1, got 0"),
+            ("lemmas", (), {"chain_trials": 0}, "chain_trials: must be at least 1, got 0"),
+            ("duality", (), {"tol": "tight"}, "tol: could not convert string to float: 'tight'"),
+            ("duality", (), {"seed": "x"}, "seed: invalid literal for int() with base 10: 'x'"),
+            ("theorem", (), {"recursion_tol": "x"}, "recursion_tol: could not convert string to float: 'x'"),
+        ],
+        ids=["trials_flag", "trials", "delta", "delta_inf", "max_states_duality",
+             "max_states_equivalence", "max_actions", "chain_trials", "tol", "seed", "recursion_tol"],
+    )
+    def test_bad_suite_setting_exit_2_before_any_work(self, tmp_path, capsys, suite, flags, settings, named):
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, "bad.json", settings)
+        code = run_cli("verify", suite, *flags, "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
 
 class TestRun:
     def test_gvi_with_mellowmax(self, tmp_path, capsys):
@@ -217,13 +243,14 @@ class TestRun:
         [
             ("gvi", {"operator": "bogus"}),
             ("gvi", {"delta": -1}),
+            ("gvi", {"max_iter": 0}),
             ("learn", {"kind": "bogus"}),
             ("learn", {"iters": 0}),
             ("learn", {"step_size": -1}),
             ("learn", {"kind": "vaml", "model_rank": 9}),
             ("compare", {"kinds": ["kl", "nope"]}),
         ],
-        ids=["operator", "delta", "kind", "iters", "step_size", "model_rank", "kinds"],
+        ids=["operator", "delta", "max_iter", "kind", "iters", "step_size", "model_rank", "kinds"],
     )
     def test_bad_run_setting_exit_2_before_any_work(self, tmp_path, capsys, what, settings):
         out = tmp_path / "out"

@@ -9,6 +9,7 @@ from wassmdp.metric import (
     MetricError,
     MetricSpace,
     ScalarField,
+    field_values,
     lipschitz_constant,
     space_from_json,
     uniform_lipschitz_constant,
@@ -189,6 +190,114 @@ class TestLipschitzConstant:
         sp = MetricSpace.unit_line(6)
         rev = lipschitz_constant(f[::-1], sp)
         assert rev.constant == pytest.approx(lipschitz_constant(f, sp).constant, abs=1e-15)
+
+
+def reference_field_values(f, n=None):
+    """field_values as it was before its ufunc rewrite, verbatim."""
+    v = f.values if isinstance(f, ScalarField) else np.asarray(f, dtype=float).ravel()
+    if not np.all(np.isfinite(v)):
+        raise ValueError("scalar field contains non-finite values")
+    if n is not None and v.shape[0] != n:
+        raise ValueError(f"field has {v.shape[0]} values but the space has {n} points")
+    return v
+
+
+def reference_lipschitz_constant(f, space):
+    """lipschitz_constant as it was before its ufunc rewrite, verbatim."""
+    v = reference_field_values(f, space.n)
+    if space.n == 1:
+        return LipschitzReport(0.0, (0, 0))
+    iu, ju, d = space.pairs
+    ratios = np.abs(v[iu] - v[ju]) / d
+    k = int(np.argmax(ratios))
+    return LipschitzReport(float(ratios[k]), (int(iu[k]), int(ju[k])))
+
+
+def reference_uniform_lipschitz_constant(family, space):
+    """uniform_lipschitz_constant as it was before its rewrite, verbatim, on
+    reference_lipschitz_constant."""
+    members = list(family)
+    if not members:
+        raise ValueError("uniform Lipschitz constant of an empty family")
+    best = None
+    best_idx = 0
+    for idx, f in enumerate(members):
+        rep = reference_lipschitz_constant(f, space)
+        if best is None or rep.constant > best.constant:
+            best = rep
+            best_idx = idx
+    return LipschitzReport(best.constant, best.witness, family_index=best_idx)
+
+
+def report_bits(rep):
+    """Every bit of a report, the types of its numbers included."""
+    return (
+        type(rep.constant), rep.constant.hex(),
+        tuple(map(type, rep.witness)), rep.witness,
+        type(rep.family_index), rep.family_index,
+    )
+
+
+def raised(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestLipschitzBits:
+    """The lean Lipschitz measurement against the earlier one, byte for byte."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(37)
+        yield MetricSpace.unit_line(1), np.array([[2.5], [-0.0]])  # one point
+        for n in (2, 3, 4, 9, 20, 40):
+            for kind in ("line", "closure", "plane"):
+                sp = random_metric_space(rng, n, kind)
+                m = int(rng.integers(1, 5))
+                yield sp, rng.normal(size=(m, n))  # random
+                yield sp, rng.integers(-2, 3, size=(m, n)).astype(float)  # tied
+                yield sp, np.repeat(rng.normal(size=(m, 1)), n, axis=1)  # constant
+                yield sp, np.vstack([rng.normal(size=n)] * 2)  # tied members
+        yield MetricSpace.unit_line(3), np.array([[1e308, -1e308, 0.0]])  # overflow to inf
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_lipschitz_constant_matches_reference(self):
+        for sp, family in self.cases():
+            strided = np.ascontiguousarray(family.T)[:, 0]
+            for f in (*family, ScalarField(family[0]), list(family[0]), strided):
+                want = report_bits(reference_lipschitz_constant(f, sp))
+                assert report_bits(lipschitz_constant(f, sp)) == want
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_uniform_constant_matches_reference(self):
+        for sp, family in self.cases():
+            q = np.ascontiguousarray(family.T)  # a table; the theorem check passes q.T
+            want = report_bits(reference_uniform_lipschitz_constant(q.T, sp))
+            for fam in (q.T, family, [ScalarField(row) for row in family], iter(list(family))):
+                assert report_bits(uniform_lipschitz_constant(fam, sp)) == want
+
+    def test_checks_raise_as_before(self):
+        one, four = MetricSpace.unit_line(1), MetricSpace.unit_line(4)
+        bad = (
+            (one, [np.nan]),
+            (one, [np.inf]),
+            (one, [1.0, 2.0]),
+            (four, [0.0, np.inf, 1.0, np.inf]),
+            (four, [np.nan, 1.0, 2.0, 3.0]),
+            (four, [1.0, 2.0, 3.0]),
+            (four, [1.0, np.nan]),  # too short and non-finite: the finiteness error wins
+            (four, []),
+        )
+        for sp, f in bad:
+            want = raised(reference_lipschitz_constant, f, sp)
+            assert raised(lipschitz_constant, f, sp) == want
+            assert raised(field_values, f, sp.n) == want
+            family = [[0.0] * sp.n, f]
+            assert raised(uniform_lipschitz_constant, family, sp) == want
+        assert raised(uniform_lipschitz_constant, [], four) == raised(
+            reference_uniform_lipschitz_constant, [], four
+        )
 
 
 class TestCachedPairs:

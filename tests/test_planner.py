@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from wassmdp.mdp import FiniteMdp, generate_lipschitz_mdp
 from wassmdp.metric import MetricSpace, ScalarField, uniform_lipschitz_constant
 from wassmdp.planner import (
+    _MELLOWMAX_MEAN_CUTOFF,
     MAX,
     MEAN,
     BackupOperator,
@@ -69,6 +70,74 @@ def in_place_reference(mdp, op, delta, max_iter=100_000):
         if diff < delta:
             return q, sweep, diff
     raise AssertionError("reference in-place GVI did not converge")
+
+
+def reference_apply_rows(op, q):
+    """_apply_rows as it was before its ufunc rewrite, verbatim."""
+    if op.kind == "max":
+        return q.max(axis=1)
+    if op.kind == "mean":
+        return q.mean(axis=1)
+    if op.kind == "eps-greedy":
+        eps = op.param
+        return eps * q.mean(axis=1) + (1.0 - eps) * q.max(axis=1)
+    beta = op.param
+    if beta < _MELLOWMAX_MEAN_CUTOFF:
+        return q.mean(axis=1)
+    top = q.max(axis=1)
+    out = top + np.log(np.mean(np.exp(beta * (q - top[:, None])), axis=1)) / beta
+    return np.clip(out, q.min(axis=1), top)
+
+
+def reference_gvi(mdp, op, delta, in_place, on_sweep, max_iter=100_000):
+    """The gvi sweep loop as it was before its ufunc rewrite, verbatim, with
+    reference_apply_rows for the backup; returns (q, v, sweeps, final diff)."""
+    n, m = mdp.n_states, mdp.n_actions
+    q = np.zeros((n, m))
+    t_flat = mdp.transition.reshape(n * m, n)
+    r = mdp.reward
+    gamma = mdp.gamma
+    diff = np.inf
+    for sweep in range(1, max_iter + 1):
+        if in_place:
+            diff = 0.0
+            q = q.copy()
+            v_now = reference_apply_rows(op, q)
+            for s in range(n):
+                for a in range(m):
+                    new = r[s, a] + gamma * float(mdp.transition[s, a] @ v_now)
+                    diff = max(diff, abs(new - q[s, a]))
+                    q[s, a] = new
+                    v_now[s] = reference_apply_rows(op, q[s : s + 1])[0]  # only row s changed
+        else:
+            v_now = reference_apply_rows(op, q)
+            q_next = r + gamma * (t_flat @ v_now).reshape(n, m)
+            diff = float(np.abs(q_next - q).max())
+            q = q_next
+        on_sweep(sweep, q.copy(), diff)
+        if diff < delta:
+            return q, reference_apply_rows(op, q), sweep, diff
+    raise AssertionError("reference GVI did not converge")
+
+
+# Every operator kind: mellowmax below the mean cutoff, eps-greedy at both ends.
+EVERY_KIND = (
+    MAX,
+    MEAN,
+    eps_greedy(0.0),
+    eps_greedy(0.3),
+    eps_greedy(1.0),
+    mellowmax(_MELLOWMAX_MEAN_CUTOFF / 2),
+    mellowmax(0.1),
+    mellowmax(1.0),
+    mellowmax(10.0),
+    mellowmax(100.0),
+)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestOperatorConstruction:
@@ -155,6 +224,61 @@ class TestNonExpansion:
         x = rng.uniform(-10, 10, dim)
         y = rng.uniform(-10, 10, dim)
         assert abs(apply_operator(op, x) - apply_operator(op, y)) <= np.abs(x - y).max() + 1e-12
+
+
+class TestRowBackupBits:
+    """The ufunc row backup against the textbook form, byte for byte."""
+
+    @staticmethod
+    def tables():
+        rng = np.random.default_rng(31)
+        for m in (1, 2, 3, 8, 9, 17):
+            for _ in range(25):
+                n = int(rng.integers(1, 12))
+                yield rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=(n, m))  # random
+                yield rng.integers(-2, 3, size=(n, m)).astype(float)  # tied
+                yield np.repeat(rng.normal(size=(n, 1)), m, axis=1)  # constant rows
+                yield rng.choice([-0.0, 0.0, -1.0, 1.0], size=(n, m))  # signed zeros
+        yield np.full((3, 4), -0.0)
+
+    def test_apply_rows_matches_reference(self):
+        for q in self.tables():
+            for op in EVERY_KIND:
+                assert same_bits(_apply_rows(op, q), reference_apply_rows(op, q)), (op, q)
+
+    def test_apply_operator_matches_reference(self):
+        for q in self.tables():
+            for op in EVERY_KIND:
+                for row in q:
+                    got = apply_operator(op, row)
+                    assert type(got) is float
+                    assert same_bits(got, float(reference_apply_rows(op, row[None, :])[0]))
+
+    def test_apply_operator_checks_unchanged(self):
+        with pytest.raises(ValueError, match="empty"):
+            apply_operator(MEAN, np.empty((0, 3)))
+        for bad in ([1.0, np.inf], [np.nan], [-np.inf, 0.0]):
+            with pytest.raises(ValueError, match="non-finite"):
+                apply_operator(mellowmax(1.0), bad)
+
+
+class TestSweepBits:
+    @pytest.mark.parametrize("in_place", [False, True], ids=["synchronous", "in_place"])
+    def test_every_sweep_matches_reference(self, in_place):
+        mdps = [self_loop_mdp(0.7, 0.9)] + [
+            generate_lipschitz_mdp(n, m, 0.7, 0.5, seed=seed, measure=False)
+            for n, m, seed in ((4, 1, 41), (6, 3, 42), (3, 9, 43))
+        ]
+        for mdp in mdps:
+            for op in EVERY_KIND:
+                got, want = [], []
+                res = gvi(mdp, op, delta=1e-10, in_place=in_place, on_sweep=lambda *a: got.append(a))
+                q, v, sweeps, diff = reference_gvi(mdp, op, 1e-10, in_place, lambda *a: want.append(a))
+                assert len(got) == len(want) == res.iterations == sweeps
+                for (it, q_got, d_got), (it_ref, q_ref, d_ref) in zip(got, want):
+                    assert it == it_ref and same_bits(q_got, q_ref) and same_bits(d_got, d_ref)
+                assert same_bits(res.q.q, q) and same_bits(res.v.values, v)
+                assert same_bits(res.final_diff, diff)
 
 
 class TestMellowmaxLimits:
@@ -247,6 +371,12 @@ class TestGvi:
                 assert np.array_equal(res.q.q, q)
                 assert res.iterations == iterations
                 assert res.final_diff == final_diff
+
+    def test_max_iter_below_one_rejected(self):
+        mdp = self_loop_mdp(1.0, 0.9)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_iter must be at least 1"):
+                gvi(mdp, MAX, max_iter=bad)
 
     def test_max_iter_exceeded_raises_with_diff(self):
         mdp = self_loop_mdp(1.0, 0.9)

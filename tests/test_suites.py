@@ -157,6 +157,36 @@ class TestTheoremSuite:
         assert rep.details["recursion_sweeps"] == sweeps > 2 * len(_default_operator_grid())
         assert rep.details["recursion_min_slack"] == min(slacks) > 0.0
 
+    def test_one_lipschitz_call_per_member_per_sweep(self, monkeypatch):
+        # The benchmark's traced theorem run checks these two counts; the
+        # calls must go through the module globals, where a tracer sees them.
+        from wassmdp import metric, suites
+
+        mdps = [generate_lipschitz_mdp(6, 3, 0.9, 0.5, seed=7), stay_mdp(SWEEP_CHECK_SEED)]
+        calls = {"all": 0, "in_gvi": 0}
+        runs = []  # (sweeps, m) per gvi call
+        measure, plan = metric.lipschitz_constant, suites.gvi
+
+        def counted(f, space):
+            calls["all"] += 1
+            if runs and runs[-1] is None:  # a gvi call is running
+                calls["in_gvi"] += 1
+            return measure(f, space)
+
+        def counted_gvi(mdp, *args, **kwargs):
+            runs.append(None)
+            result = plan(mdp, *args, **kwargs)
+            runs[-1] = (result.iterations, mdp.n_actions)
+            return result
+
+        monkeypatch.setattr(metric, "lipschitz_constant", counted)
+        monkeypatch.setattr(suites, "lipschitz_constant", counted)
+        monkeypatch.setattr(suites, "gvi", counted_gvi)
+        theorem_suite(seed=0, trials=2, mdps=mdps)
+        assert len(runs) == 2 * len(_default_operator_grid())
+        assert calls["in_gvi"] == sum(sweeps * m for sweeps, m in runs)
+        assert calls["all"] == sum(sweeps * m + m + 1 for sweeps, m in runs)
+
 
 class TestReports:
     def test_worst_cell_reproducible(self):
