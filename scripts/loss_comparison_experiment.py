@@ -8,6 +8,7 @@ per-kind tables, cross-evaluations, and planning gaps as CSV.
 """
 
 import argparse
+import dataclasses
 import os
 
 from wassmdp.learner import (
@@ -23,16 +24,9 @@ from wassmdp.vaml import value_lipschitz_bound
 
 
 def run(mdp, rank, config, out_dir, tag):
-    cfg = FitConfig(
-        iters=config.iters,
-        step_size=config.step_size,
-        seed=config.seed,
-        fd_epsilon=config.fd_epsilon,
-        log_every=config.log_every,
-        model_rank=rank,
-    )
     c = value_lipschitz_bound(mdp).c
-    comparison = compare_losses(mdp, [KL_LOSS, WASSERSTEIN_LOSS, vaml_loss_kind(c)], cfg)
+    kinds = [KL_LOSS, WASSERSTEIN_LOSS, vaml_loss_kind(c)]
+    comparison = compare_losses(mdp, kinds, dataclasses.replace(config, model_rank=rank))
     comparison.write_csv(os.path.join(out_dir, f"comparison_{tag}.csv"))
     comparison.write_cross_csv(os.path.join(out_dir, f"cross_eval_{tag}.csv"))
     print(f"[{tag}] value bound C = {comparison.value_bound:.4f}, "

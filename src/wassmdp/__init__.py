@@ -17,7 +17,7 @@ from .learner import (
     parse_loss_kind,
     vaml_loss_kind,
 )
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution, solve_lp
+from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution, SingularBasisError, solve_lp
 from .mdp import (
     FiniteMdp,
     KernelLipschitzReport,

@@ -13,9 +13,10 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
+import inspect
 import json
-import math
 import os
 import sys
 
@@ -24,55 +25,22 @@ import numpy as np
 from . import learner, lp, suites
 from .mdp import MdpFormatError, generate_lipschitz_mdp, load_mdp, save_mdp
 from .planner import GviConvergenceError, gvi, parse_operator
+from .vaml import ContractionPreconditionError
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
-_SUITE_EXTRA_KEYS = {
-    "duality": ("max_states",),
-    "equivalence": ("max_states", "max_actions"),
-    "theorem": ("delta", "recursion_tol"),
-    "operators": (),
-    "lemmas": ("chain_trials",),
-}
-
-# The least value of each integer suite setting besides trials, which is 1.
-_SUITE_MINIMA = {
-    "duality": {"max_states": 2},
-    "equivalence": {"max_states": 4, "max_actions": 1},
-    "lemmas": {"chain_trials": 1},
-}
-
 _GENERATOR_KEYS = ("states", "actions", "gamma", "smoothing", "seed", "space_kind", "base")
+
+# Each fit setting with its default; FitConfig owns the names, types and checks.
+_FIT_DEFAULTS = {field.name: field.default for field in dataclasses.fields(learner.FitConfig)}
 
 _RUN_KEYS = {
     "gvi": ("mdp", "generator", "operator", "delta", "max_iter", "in_place", "out"),
-    "learn": (
-        "mdp",
-        "generator",
-        "kind",
-        "iters",
-        "step_size",
-        "seed",
-        "fd_epsilon",
-        "log_every",
-        "model_rank",
-        "out",
-    ),
-    "compare": (
-        "mdp",
-        "generator",
-        "kinds",
-        "iters",
-        "step_size",
-        "seed",
-        "fd_epsilon",
-        "log_every",
-        "model_rank",
-        "out",
-    ),
+    "learn": ("mdp", "generator", "kind", "out", *_FIT_DEFAULTS),
+    "compare": ("mdp", "generator", "kinds", "out", *_FIT_DEFAULTS),
 }
 
 
@@ -160,31 +128,25 @@ def _resolve_mdp(config):
     raise ConfigError("config needs an 'mdp' path or a 'generator' block")
 
 
+def _suite_defaults(suite):
+    """The suite's keyword settings that default to a number, with those defaults."""
+    params = inspect.signature(suites.SUITES[suite]).parameters.values()
+    return {p.name: p.default for p in params if isinstance(p.default, (int, float))}
+
+
 def _cmd_verify(args) -> int:
     config = _load_config(args.config)
-    allowed = ("trials", "seed", "tol", "out") + _SUITE_EXTRA_KEYS[args.suite]
-    _check_keys(config, allowed, f"verify {args.suite}")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    out_dir = args.out if args.out is not None else config.get("out", ".")
-    kwargs = {"seed": _setting("seed", int, seed)}
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    elif "trials" in config:
-        kwargs["trials"] = config["trials"]
-    if args.tol is not None:
-        kwargs["tol"] = float(args.tol)
-    elif "tol" in config:
-        kwargs["tol"] = _setting("tol", float, config["tol"])
-    if args.suite == "theorem" and "tol" in kwargs:
-        kwargs["bound_tol"] = kwargs.pop("tol")
-    for key in _SUITE_EXTRA_KEYS[args.suite]:
-        if key in config:
-            kwargs[key] = config[key]
-    _check_suite_settings(args.suite, kwargs)
+    defaults = _suite_defaults(args.suite)
+    _check_keys(config, (*defaults, "out"), f"verify {args.suite}")
+    flags = {"seed": args.seed, "trials": args.trials, "tol": args.tol, "out": args.out}
+    config.update((key, value) for key, value in flags.items() if value is not None)
+    out_dir = config.pop("out", ".")
+    kwargs = {key: _cast(key, defaults[key], value) for key, value in config.items()}
     try:
-        report = suites.SUITES[args.suite](**kwargs)
-    except TypeError as exc:
+        suites.check_settings(args.suite, kwargs)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    report = suites.SUITES[args.suite](**kwargs)
     path = _write_report(out_dir, f"verify_{args.suite}.json", report.to_json_dict())
     status = "PASS" if report.passed else "FAIL"
     print(
@@ -202,20 +164,9 @@ def _setting(key, parse, *args):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _check_suite_settings(suite, kwargs):
-    """Cast the integer settings, delta and recursion_tol in place; reject a
-    value the suite cannot run with, before it starts."""
-    for key, least in {"trials": 1, **_SUITE_MINIMA.get(suite, {})}.items():
-        if key in kwargs:
-            value = kwargs[key] = _setting(key, int, kwargs[key])
-            if value < least:
-                raise ConfigError(f"{key}: must be at least {least}, got {value}")
-    if "delta" in kwargs:
-        delta = kwargs["delta"] = _setting("delta", float, kwargs["delta"])
-        if not (0.0 < delta < math.inf):
-            raise ConfigError(f"delta: must be positive and finite, got {delta!r}")
-    if "recursion_tol" in kwargs:
-        kwargs["recursion_tol"] = _setting("recursion_tol", float, kwargs["recursion_tol"])
+def _cast(key, default, value):
+    """value cast to the type of its owner's default; a None default takes it as given."""
+    return value if default is None else _setting(key, type(default), value)
 
 
 def _cmd_run_gvi(config, out_dir) -> int:
@@ -245,15 +196,10 @@ def _cmd_run_gvi(config, out_dir) -> int:
     return 0
 
 
-_FIT_CASTS = {"iters": int, "step_size": float, "seed": int, "fd_epsilon": float, "log_every": int}
-
-
 def _fit_setup(config):
     """The FitConfig from the keys the config gives, the others at their defaults,
     and the MDP it fits; every setting is checked before any fitting starts."""
-    kwargs = {key: _setting(key, cast, config[key]) for key, cast in _FIT_CASTS.items() if key in config}
-    if "model_rank" in config:
-        kwargs["model_rank"] = config["model_rank"]
+    kwargs = {key: _cast(key, default, config[key]) for key, default in _FIT_DEFAULTS.items() if key in config}
     fit = _setting("fit settings", lambda: learner.FitConfig(**kwargs))
     mdp, source = _resolve_mdp(config)
     if fit.model_rank is not None:
@@ -378,7 +324,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_gen_mdp(args)
-    except (ConfigError, MdpFormatError) as exc:
+    except (ConfigError, MdpFormatError, ContractionPreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (

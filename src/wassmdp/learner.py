@@ -16,10 +16,13 @@ import numpy as np
 
 from .mdp import FiniteMdp, kernel_lipschitz
 from .planner import MAX, evaluate_policy, greedy_policy, gvi
-from .transport import Distribution, wasserstein_dual, wasserstein_primal
+from .transport import Distribution, SupportViolationError, kl_divergence, wasserstein_dual, wasserstein_primal
 from .vaml import value_lipschitz_bound
 
 _LOSS_KINDS = ("kl", "wasserstein", "vaml")
+
+# Standard deviation of the initial logits drawn from the fit's seed.
+_INIT_SCALE = 0.01
 
 
 class TrainingDivergedError(RuntimeError):
@@ -158,8 +161,12 @@ def _resolve_c(mdp, kind) -> float | None:
 
 def _pair_loss(mdp, kind, c, t_row, m_row) -> float:
     if kind.kind == "kl":
-        mask = t_row > 0.0
-        return max(float(np.sum(t_row[mask] * np.log(t_row[mask] / m_row[mask]))), 0.0)
+        try:
+            return kl_divergence(Distribution(t_row), Distribution(m_row))
+        except SupportViolationError:
+            # A model row that underflowed to zero where the true row has
+            # mass; the infinite loss makes the line search halve its step.
+            return np.inf
     if kind.kind == "wasserstein":
         w, _ = wasserstein_primal(Distribution(t_row), Distribution(m_row), mdp.space)
         return w
@@ -204,7 +211,6 @@ class FitConfig:
     fd_epsilon: float = 1e-5
     log_every: int = 100
     model_rank: int | None = None
-    init_scale: float = 0.01
 
     def __post_init__(self):
         if self.iters < 1:
@@ -252,8 +258,12 @@ class TrainReport:
 
 
 def _summed_loss(mdp, kind, c, model) -> float:
-    cells = mdp.n_states * mdp.n_actions
-    return _mean_loss(mdp, kind, c, model.transition_tensor()) * cells
+    that = model.transition_tensor()
+    if not np.isfinite(that).all():
+        # Non-finite logits give NaN rows, which no loss takes: a NaN loss
+        # makes the fit report divergence or halve its step.
+        return np.nan
+    return _mean_loss(mdp, kind, c, that) * (mdp.n_states * mdp.n_actions)
 
 
 def _kl_gradient_full(mdp, model) -> np.ndarray:
@@ -330,14 +340,14 @@ def fit_model(
     if init_model is not None:
         model = init_model
     elif config.model_rank is None:
-        model = ModelParams(rng.normal(0.0, config.init_scale, size=(n, m, n)))
+        model = ModelParams(rng.normal(0.0, _INIT_SCALE, size=(n, m, n)))
     else:
         k = int(config.model_rank)
         if not (1 <= k <= n):
             raise ValueError(f"model_rank must lie in [1, {n}], got {k}")
         model = RankLimitedModelParams(
-            rng.normal(0.0, config.init_scale, size=(k, n)),
-            rng.normal(0.0, config.init_scale, size=(n, m, k)),
+            rng.normal(0.0, _INIT_SCALE, size=(k, n)),
+            rng.normal(0.0, _INIT_SCALE, size=(n, m, k)),
         )
     c = _resolve_c(mdp, kind)
     cells = n * m
@@ -460,14 +470,16 @@ def compare_losses(mdp: FiniteMdp, kinds, config: FitConfig = FitConfig()) -> Lo
     kinds = list(kinds)
     if not kinds:
         raise ValueError("need at least one loss kind to compare")
+    # The value bound and gamma * K_W come first, so an MDP outside the
+    # bound's precondition raises ContractionPreconditionError before any fit.
+    bound = value_lipschitz_bound(mdp).c
+    kw = mdp.measured_kernel_constant
+    if kw is None:
+        kw = kernel_lipschitz(mdp).constant
     reports = [fit_model(mdp, kind, config) for kind in kinds]
     cross = {}
     for report in reports:
         name = loss_kind_spec(report.kind)
         for kind in kinds:
             cross[(name, loss_kind_spec(kind))] = aggregate_loss(mdp, report.final_model, kind)
-    bound = value_lipschitz_bound(mdp).c
-    kw = mdp.measured_kernel_constant
-    if kw is None:
-        kw = kernel_lipschitz(mdp).constant
     return LossComparison(tuple(reports), cross, bound, mdp.gamma * kw)

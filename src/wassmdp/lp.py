@@ -100,6 +100,11 @@ _MEMO_MAX_ELEMENTS = 131_072
 _ANSWER_OVERHEAD = 128
 
 
+class SingularBasisError(ArithmeticError):
+    """The optimal basis is singular, so it cannot be re-factorized against
+    the original data and the answer cannot be certified."""
+
+
 @dataclass(frozen=True, eq=False)
 class LpProblem:
     """maximize objective @ x subject to A @ x (relations) rhs, lower <= x <= upper.
@@ -588,6 +593,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     by raising; only malformed input raises, and so does an optimum that
     fails its certificate: x must be feasible and the objective must agree
     with the dual objective to ``FEASIBILITY_TOL`` relative to it.  A
+    singular final basis raises ``SingularBasisError``.  A
     byte-identical repeat of an LP still in the memo returns the stored
     answer, with fresh copies of its arrays.
     """
@@ -641,7 +647,6 @@ def _solve(problem, key, start):
     pivots = (phase1_pivots, phase2_pivots)
     if status == "unbounded":
         return LpSolution(status=UNBOUNDED, pivots=pivots, phase1_reused=reused)
-    tab_rhs = tab[:m, -1].copy()
     tab = work = None
 
     # Re-factorize the final basis against the original standard-form data
@@ -661,9 +666,8 @@ def _solve(problem, key, start):
     try:
         x_basic = np.linalg.solve(B, b_kept)
         y_min = np.linalg.solve(B.T, c_min[basis])
-    except np.linalg.LinAlgError:
-        x_basic = tab_rhs
-        y_min = np.linalg.lstsq(B.T, c_min[basis], rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularBasisError(f"final basis matrix is singular: {exc}") from exc
     u = np.zeros(ncols)
     u[basis] = x_basic
     u[np.abs(u) < 1e-12] = 0.0

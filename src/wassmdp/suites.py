@@ -9,6 +9,7 @@ execution order and any failure can be regenerated standalone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,8 +104,32 @@ class SuiteReport:
         }
 
 
+# The least value of each integer setting of each suite.
+_MINIMA = {
+    "duality": {"trials": 1, "max_states": 2},
+    "equivalence": {"trials": 1, "max_states": 4, "max_actions": 1},
+    "theorem": {"trials": 1},
+    "operators": {"trials": 1},
+    "lemmas": {"trials": 1, "chain_trials": 1},
+}
+
+
+def check_settings(suite: str, settings: dict) -> None:
+    """Raise ValueError, naming the setting, on a value ``suite`` cannot run with.
+
+    Every suite calls this on entry, before it draws or generates anything;
+    ``settings`` maps keyword names to values and may leave any out.
+    """
+    for key, least in _MINIMA[suite].items():
+        if key in settings and settings[key] < least:
+            raise ValueError(f"{key}: must be at least {least}, got {settings[key]}")
+    if "delta" in settings and not (0.0 < settings["delta"] < math.inf):
+        raise ValueError(f"delta: must be positive and finite, got {settings['delta']!r}")
+
+
 def duality_suite(seed: int = 0, trials: int = 100, max_states: int = 20, tol: float = 1e-6) -> SuiteReport:
     """Primal coupling cost versus dual potential value at unit bound."""
+    check_settings("duality", {"trials": trials, "max_states": max_states})
     max_violation = -np.inf
     worst = None
     for t in range(trials):
@@ -131,6 +156,7 @@ def equivalence_suite(
 ) -> SuiteReport:
     """Worst-case loss over the certified Lipschitz ball vs squared scaled
     transport distance, relative gap per state-action cell."""
+    check_settings("equivalence", {"trials": trials, "max_states": max_states, "max_actions": max_actions})
     max_violation = -np.inf
     worst = None
     for t in range(trials):
@@ -173,7 +199,7 @@ def theorem_suite(
     trials: int = 40,
     operators: list[BackupOperator] | None = None,
     delta: float = 1e-10,
-    bound_tol: float = 1e-8,
+    tol: float = 1e-8,
     recursion_tol: float = 1e-9,
     mdps: list[FiniteMdp] | None = None,
 ) -> SuiteReport:
@@ -182,6 +208,7 @@ def theorem_suite(
     every sweep.  Cells whose discounted kernel constant reaches 1 are
     excluded as outside the bound's precondition and reported as skipped.
     """
+    check_settings("theorem", {"trials": trials, "delta": delta})
     operators = operators if operators is not None else _default_operator_grid()
     if mdps is not None:
         trials = min(trials, len(mdps))
@@ -237,11 +264,11 @@ def theorem_suite(
         max_violation = 0.0  # every cell was precondition-excluded
     if not np.isfinite(recursion_max):
         recursion_max = 0.0
-    passed = max_violation <= bound_tol and recursion_max <= recursion_tol
+    passed = max_violation <= tol and recursion_max <= recursion_tol
     return SuiteReport(
         "theorem",
         trials,
-        bound_tol,
+        tol,
         seed,
         float(max_violation),
         bool(passed),
@@ -259,6 +286,7 @@ def theorem_suite(
 
 def operators_suite(seed: int = 0, trials: int = 1000, tol: float = 1e-12) -> SuiteReport:
     """Non-expansion of every backup operator across its parameter grid."""
+    check_settings("operators", {"trials": trials})
     grid = [
         MAX,
         MEAN,
@@ -302,6 +330,7 @@ def lemmas_suite(
 ) -> SuiteReport:
     """Composition and summation bounds for measured Lipschitz constants,
     plus the Holder/Pinsker relaxation chain of the pointwise model error."""
+    check_settings("lemmas", {"trials": trials, "chain_trials": chain_trials})
     comp_max = -np.inf
     sum_max = -np.inf
     chain_max = -np.inf

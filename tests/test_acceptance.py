@@ -57,7 +57,7 @@ def test_criterion_2_central_equivalence():
 
 
 def test_criterion_3_value_smoothness_bound():
-    rep = theorem_suite(seed=SEED, trials=40, bound_tol=1e-8, recursion_tol=1e-9)
+    rep = theorem_suite(seed=SEED, trials=40, tol=1e-8, recursion_tol=1e-9)
     recursion = rep.details["recursion_max_excess"]
     report(
         "3 GVI fixed-point bound (40 MDPs x 6 operators)",

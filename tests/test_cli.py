@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from wassmdp import lp
+from wassmdp import cli, lp
 from wassmdp.cli import main
-from wassmdp.mdp import load_mdp
+from wassmdp.mdp import FiniteMdp, load_mdp, save_mdp
+from wassmdp.metric import MetricSpace
 
 
 def run_cli(*argv):
@@ -258,6 +260,70 @@ class TestRun:
         code = run_cli("run", what, "--config", str(cfg), "--out", str(out))
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+class TestSettingKeys:
+    """The keys each command accepts and the type each value is cast to come
+    from the owners of the settings; these pins make a change to a suite's
+    signature or to FitConfig's fields a visible decision."""
+
+    @pytest.mark.parametrize(
+        "suite, types",
+        [
+            ("duality", {"seed": int, "trials": int, "max_states": int, "tol": float}),
+            ("equivalence", {"seed": int, "trials": int, "max_states": int, "max_actions": int, "tol": float}),
+            ("theorem", {"seed": int, "trials": int, "delta": float, "tol": float, "recursion_tol": float}),
+            ("operators", {"seed": int, "trials": int, "tol": float}),
+            ("lemmas", {"seed": int, "trials": int, "chain_trials": int, "tol": float}),
+        ],
+    )
+    def test_verify_settings(self, suite, types):
+        defaults = cli._suite_defaults(suite)
+        assert {key: type(value) for key, value in defaults.items()} == types
+
+    def test_run_learn_and_compare_keys(self):
+        fit = {"iters", "step_size", "seed", "fd_epsilon", "log_every", "model_rank"}
+        assert set(cli._RUN_KEYS["learn"]) == fit | {"mdp", "generator", "kind", "out"}
+        assert set(cli._RUN_KEYS["compare"]) == fit | {"mdp", "generator", "kinds", "out"}
+        assert len(cli._RUN_KEYS["learn"]) == len(cli._RUN_KEYS["compare"]) == len(fit) + 4
+
+
+def stretch_mdp_file(directory):
+    """A 4-state line MDP whose kernel triples distances: gamma * K_W = 2.7."""
+    t = np.zeros((4, 1, 4))
+    t[[0, 2], 0, 0] = 1.0
+    t[[1, 3], 0, 3] = 1.0
+    path = directory / "stretch.json"
+    save_mdp(FiniteMdp(MetricSpace.unit_line(4), np.arange(4.0).reshape(4, 1), t, 0.9), path)
+    return path
+
+
+class TestRuntimeErrors:
+    @pytest.mark.parametrize(
+        "what, settings",
+        [("compare", {"kinds": ["kl"]}), ("learn", {"kind": "vaml"})],
+        ids=["compare_kl", "learn_vaml"],
+    )
+    def test_contraction_precondition_exit_2_without_report(self, tmp_path, capsys, what, settings):
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, "c.json", {"mdp": str(stretch_mdp_file(tmp_path)), "iters": 2, **settings})
+        code = run_cli("run", what, "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma * K_W = 2.7")
+        assert err.endswith(">= 1; no finite value class bound\n")
+        assert not out.exists()
+
+    def test_singular_basis_exit_1(self, tmp_path, capsys, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        out = tmp_path / "out"
+        code = run_cli("verify", "duality", "--trials", "1", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == "error: final basis matrix is singular: Singular matrix\n"
         assert not out.exists()
 
 

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from wassmdp import lp
+from wassmdp import learner, lp
 from wassmdp.learner import (
     FitConfig,
     KL_LOSS,
@@ -23,7 +23,7 @@ from wassmdp.mdp import FiniteMdp, generate_lipschitz_mdp
 from wassmdp.metric import MetricSpace
 from wassmdp.suites import cell_rng
 from wassmdp.transport import Distribution, wasserstein_primal
-from wassmdp.vaml import value_lipschitz_bound, verify_equivalence
+from wassmdp.vaml import ContractionPreconditionError, value_lipschitz_bound, verify_equivalence
 
 
 def small_mdp(seed=0, n=4, m=1, gamma=0.9, smoothing=0.5):
@@ -85,6 +85,23 @@ class TestAggregateLoss:
                 mask = row > 0
                 cells.append(float(np.sum(row[mask] * np.log(n * row[mask]))))
         assert got == pytest.approx(np.mean(cells), abs=1e-12)
+
+    def test_kl_pair_loss_keeps_the_old_bits_and_is_infinite_off_support(self):
+        from wassmdp.learner import _pair_loss
+
+        mdp = small_mdp(seed=2, n=5, m=2, smoothing=0.2)
+        rng = cell_rng(63, 0)
+        for s in range(5):
+            for a in range(2):
+                t_row = mdp.transition[s, a]
+                m_row = rng.dirichlet(np.full(5, 0.5))
+                mask = t_row > 0.0
+                formula = max(float(np.sum(t_row[mask] * np.log(t_row[mask] / m_row[mask]))), 0.0)
+                assert _pair_loss(mdp, KL_LOSS, None, t_row, m_row) == formula
+                # A model row that underflowed to zero where the true row has
+                # mass: the line search must see a loss it rejects.
+                off = np.eye(5)[(int(np.argmax(t_row)) + 1) % 5]
+                assert _pair_loss(mdp, KL_LOSS, None, t_row, off) == np.inf
 
     def test_vaml_aggregate_is_scaled_squared_wasserstein(self):
         mdp = small_mdp(seed=3, n=5, m=2)
@@ -196,9 +213,10 @@ class TestFitModel:
     def test_non_finite_start_raises_with_iteration(self):
         mdp = small_mdp(seed=13)
         bad = ModelParams(np.full((4, 1, 4), np.inf))
-        with pytest.raises(TrainingDivergedError) as info:
-            fit_model(mdp, KL_LOSS, FitConfig(iters=5), init_model=bad)
-        assert info.value.iteration == 0
+        for kind in (KL_LOSS, WASSERSTEIN_LOSS):
+            with pytest.raises(TrainingDivergedError) as info:
+                fit_model(mdp, kind, FitConfig(iters=5), init_model=bad)
+            assert info.value.iteration == 0
 
     def test_report_serialization(self, tmp_path):
         mdp = small_mdp(seed=14)
@@ -262,6 +280,20 @@ class TestCompareLosses:
     def test_empty_kinds_rejected(self):
         with pytest.raises(ValueError):
             compare_losses(small_mdp(seed=18), [], FitConfig(iters=5))
+
+    def test_contraction_precondition_raises_before_any_fit(self, monkeypatch):
+        # The kernel triples distances on a unit line: gamma * K_W = 2.7.
+        t = np.zeros((4, 1, 4))
+        t[[0, 2], 0, 0] = 1.0
+        t[[1, 3], 0, 3] = 1.0
+        mdp = FiniteMdp(MetricSpace.unit_line(4), np.arange(4.0).reshape(4, 1), t, 0.9)
+
+        def no_fit(*args):
+            raise AssertionError("compare_losses fitted before checking the precondition")
+
+        monkeypatch.setattr(learner, "fit_model", no_fit)
+        with pytest.raises(ContractionPreconditionError, match=">= 1"):
+            compare_losses(mdp, [KL_LOSS], FitConfig(iters=2))
 
 
 class TestAnswerMemo:

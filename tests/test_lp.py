@@ -319,6 +319,15 @@ class TestSolutionContracts:
         with pytest.raises(ArithmeticError, match="dual objective"):
             lp.solve_lp(second)
 
+    def test_singular_final_basis_raises_typed_error(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(lp.SingularBasisError, match="final basis matrix is singular"):
+            solve([1.0, 2.0], [[1.0, 1.0]], [lp.EQ], [2.0], lower=0.0)
+        assert issubclass(lp.SingularBasisError, ArithmeticError)
+
     def test_degenerate_problem_terminates(self):
         # many redundant rows through the same vertex
         A = [[1.0, 1.0]] * 6 + [[1.0, 0.0]] * 4

@@ -1,5 +1,8 @@
 import numpy as np
+import pytest
 from dataclasses import replace
+
+from wassmdp import suites
 
 from wassmdp.mdp import FiniteMdp, generate_lipschitz_mdp, kernel_lipschitz, reward_lipschitz
 from wassmdp.metric import MetricSpace
@@ -186,6 +189,40 @@ class TestTheoremSuite:
         assert len(runs) == 2 * len(_default_operator_grid())
         assert calls["in_gvi"] == sum(sweeps * m for sweeps, m in runs)
         assert calls["all"] == sum(sweeps * m + m + 1 for sweeps, m in runs)
+
+
+class TestSettings:
+    @pytest.mark.parametrize(
+        "suite, settings, message",
+        [
+            ("duality", {"trials": 0}, "trials: must be at least 1, got 0"),
+            ("duality", {"max_states": 1}, "max_states: must be at least 2, got 1"),
+            ("equivalence", {"trials": -2}, "trials: must be at least 1, got -2"),
+            ("equivalence", {"max_states": 3}, "max_states: must be at least 4, got 3"),
+            ("equivalence", {"max_actions": 0}, "max_actions: must be at least 1, got 0"),
+            ("theorem", {"trials": 0}, "trials: must be at least 1, got 0"),
+            ("theorem", {"delta": 0.0}, "delta: must be positive and finite, got 0.0"),
+            ("theorem", {"delta": -1e-10}, "delta: must be positive and finite, got -1e-10"),
+            ("theorem", {"delta": float("inf")}, "delta: must be positive and finite, got inf"),
+            ("theorem", {"delta": float("nan")}, "delta: must be positive and finite, got nan"),
+            ("operators", {"trials": -3}, "trials: must be at least 1, got -3"),
+            ("lemmas", {"trials": 0}, "trials: must be at least 1, got 0"),
+            ("lemmas", {"chain_trials": 0}, "chain_trials: must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_setting_raises_before_any_draw(self, monkeypatch, suite, settings, message):
+        def no_draws(*args):
+            raise AssertionError("the suite drew a cell before checking its settings")
+
+        monkeypatch.setattr(suites, "cell_rng", no_draws)
+        with pytest.raises(ValueError) as info:
+            suites.SUITES[suite](**settings)
+        assert str(info.value) == message
+
+    def test_least_settings_run(self):
+        assert duality_suite(trials=1, max_states=2).trials == 1
+        assert equivalence_suite(trials=1, max_states=4, max_actions=1).passed
+        assert lemmas_suite(trials=1, chain_trials=1).passed
 
 
 class TestReports:
