@@ -7,13 +7,13 @@ timestamps and the LP memo's counts (``lp.memo_counts()``) live in a
 sidecar file next to each report.
 
 Exit codes: 0 pass, 1 suite failure or runtime error, 2 usage or config
-error.
+error.  Every rejected input exits 2 with one ``error:`` line on stderr
+and writes no report.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import inspect
 import json
@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from . import learner, lp, suites
-from .mdp import MdpFormatError, generate_lipschitz_mdp, load_mdp, save_mdp
-from .planner import GviConvergenceError, gvi, parse_operator
+from .mdp import FiniteMdp, MdpFormatError, generate_lipschitz_mdp, load_mdp, save_mdp
+from .planner import GviConvergenceError, check_gvi_settings, gvi, parse_operator
 from .vaml import ContractionPreconditionError
 
 
@@ -32,31 +32,77 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
-_GENERATOR_KEYS = ("states", "actions", "gamma", "smoothing", "seed", "space_kind", "base")
+# A keyword parameter annotated with one of these types is a setting configs may give.
+_SETTING_TYPES = (int, float, bool, str, int | None)
 
-# Each fit setting with its default; FitConfig owns the names, types and checks.
-_FIT_DEFAULTS = {field.name: field.default for field in dataclasses.fields(learner.FitConfig)}
+
+def _settings(owner) -> dict:
+    """{name: type} of the settings of ``owner``, a function or a dataclass."""
+    params = inspect.signature(owner, eval_str=True).parameters.values()
+    return {p.name: p.annotation for p in params if p.annotation in _SETTING_TYPES}
+
+
+def _cast(key, kind, value):
+    """value as a ``kind`` setting, unchanged, or a ConfigError: a bool or str setting takes
+    only a JSON bool or string, a number setting no bool, and an int setting only an
+    integral value.  Numbers may be spelled as strings; ``int | None`` also takes null."""
+    if kind == int | None:
+        if value is None:
+            return None
+        kind = int
+    if kind is bool or kind is str:
+        if not isinstance(value, kind):
+            raise ConfigError(f"{key}: must be {'true or false' if kind is bool else 'a string'}, got {value!r}")
+        return value
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key}: must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _read(config, types) -> dict:
+    """The config's values for the keys of ``types``, each cast to its type."""
+    return {key: _cast(key, kind, config[key]) for key, kind in types.items() if key in config}
+
+
+def _generate(
+    states: int = 6, actions: int = 2, gamma: float = 0.9, smoothing: float = 0.5, seed: int = 0,
+    space_kind: str = "line", base: str = "walk",
+) -> FiniteMdp:
+    """generate_lipschitz_mdp under the keys and defaults of a generator block."""
+    return generate_lipschitz_mdp(states, actions, gamma, smoothing, seed, space_kind=space_kind, base=base)
+
+
+_GENERATOR_SETTINGS = _settings(_generate)
+_GVI_SETTINGS = _settings(gvi)
+_GVI_DELTA = inspect.signature(gvi).parameters["delta"].default
+_FIT_SETTINGS = _settings(learner.FitConfig)
 
 _RUN_KEYS = {
-    "gvi": ("mdp", "generator", "operator", "delta", "max_iter", "in_place", "out"),
-    "learn": ("mdp", "generator", "kind", "out", *_FIT_DEFAULTS),
-    "compare": ("mdp", "generator", "kinds", "out", *_FIT_DEFAULTS),
+    "gvi": ("mdp", "generator", "operator", "out", *_GVI_SETTINGS),
+    "learn": ("mdp", "generator", "kind", "out", *_FIT_SETTINGS),
+    "compare": ("mdp", "generator", "kinds", "out", *_FIT_SETTINGS),
 }
 
 
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise ConfigError(f"cannot read config {path} as JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     return doc
+
+
+def _apply_flags(config, args, names):
+    """Lay the flags among ``names`` that were given over the config's keys."""
+    config.update((name, getattr(args, name)) for name in names if getattr(args, name) is not None)
 
 
 def _check_keys(config, allowed, where):
@@ -97,55 +143,44 @@ def _write_report(out_dir, name, body) -> str:
     return path
 
 
-def _generate(gen):
-    """generate_lipschitz_mdp from a generator block; absent keys take the defaults."""
-    return generate_lipschitz_mdp(
-        int(gen.get("states", 6)),
-        int(gen.get("actions", 2)),
-        float(gen.get("gamma", 0.9)),
-        float(gen.get("smoothing", 0.5)),
-        int(gen.get("seed", 0)),
-        **{key: gen[key] for key in ("space_kind", "base") if key in gen},
-    )
-
-
 def _resolve_mdp(config):
     if "mdp" in config and "generator" in config:
         raise ConfigError("give either 'mdp' or 'generator', not both")
     if "mdp" in config:
-        path = config["mdp"]
-        if not os.path.exists(path):
-            raise ConfigError(f"mdp file not found: {path}")
-        return load_mdp(path), {"mdp": path}
-    if "generator" in config:
-        gen = dict(config["generator"])
-        _check_keys(gen, _GENERATOR_KEYS, "generator")
+        path = _cast("mdp", str, config["mdp"])
         try:
-            mdp = _generate(gen)
+            return load_mdp(path), {"mdp": path}
+        except OSError as exc:
+            raise ConfigError(f"cannot read mdp file {path}: {exc.strerror}") from exc
+    if "generator" in config:
+        gen = config["generator"]
+        if not isinstance(gen, dict):
+            raise ConfigError(f"generator: must be a JSON object, got {gen!r}")
+        _check_keys(gen, _GENERATOR_SETTINGS, "generator")
+        try:
+            mdp = _generate(**_read(gen, _GENERATOR_SETTINGS))
         except ValueError as exc:
             raise ConfigError(f"generator: {exc}") from exc
         return mdp, {"generator": gen}
     raise ConfigError("config needs an 'mdp' path or a 'generator' block")
 
 
-def _suite_defaults(suite):
-    """The suite's keyword settings that default to a number, with those defaults."""
-    params = inspect.signature(suites.SUITES[suite]).parameters.values()
-    return {p.name: p.default for p in params if isinstance(p.default, (int, float))}
+def _setting(key, parse, *args):
+    """parse(*args), a bad value as a ConfigError naming ``key`` (None: the message does)."""
+    try:
+        return parse(*args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}" if key else str(exc)) from exc
 
 
 def _cmd_verify(args) -> int:
     config = _load_config(args.config)
-    defaults = _suite_defaults(args.suite)
-    _check_keys(config, (*defaults, "out"), f"verify {args.suite}")
-    flags = {"seed": args.seed, "trials": args.trials, "tol": args.tol, "out": args.out}
-    config.update((key, value) for key, value in flags.items() if value is not None)
-    out_dir = config.pop("out", ".")
-    kwargs = {key: _cast(key, defaults[key], value) for key, value in config.items()}
-    try:
-        suites.check_settings(args.suite, kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _apply_flags(config, args, ("seed", "trials", "tol", "out"))
+    types = _settings(suites.SUITES[args.suite])
+    _check_keys(config, (*types, "out"), f"verify {args.suite}")
+    out_dir = _cast("out", str, config.pop("out", "."))
+    kwargs = _read(config, types)
+    _setting(None, suites.check_settings, args.suite, kwargs)
     report = suites.SUITES[args.suite](**kwargs)
     path = _write_report(out_dir, f"verify_{args.suite}.json", report.to_json_dict())
     status = "PASS" if report.passed else "FAIL"
@@ -156,33 +191,17 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _setting(key, parse, *args):
-    """parse(*args) for one config setting, with a bad value as a ConfigError."""
-    try:
-        return parse(*args)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _cast(key, default, value):
-    """value cast to the type of its owner's default; a None default takes it as given."""
-    return value if default is None else _setting(key, type(default), value)
-
-
 def _cmd_run_gvi(config, out_dir) -> int:
-    op = _setting("operator", parse_operator, config.get("operator", "max"))
-    delta = _setting("delta", float, config.get("delta", 1e-10))
-    if not (delta > 0.0):
-        raise ConfigError(f"delta: must be positive, got {delta!r}")
-    max_iter = _setting("max_iter", int, config.get("max_iter", 1_000_000))
-    if max_iter < 1:
-        raise ConfigError(f"max_iter: must be at least 1, got {max_iter}")
+    spec = _cast("operator", str, config.get("operator", "max"))
+    op = _setting("operator", parse_operator, spec)
+    kwargs = _read(config, _GVI_SETTINGS)
+    _setting(None, check_gvi_settings, kwargs)
     mdp, source = _resolve_mdp(config)
-    result = gvi(mdp, op, delta=delta, max_iter=max_iter, in_place=bool(config.get("in_place", False)))
+    result = gvi(mdp, op, **kwargs)
     body = {
         "source": source,
-        "operator": config.get("operator", "max"),
-        "delta": delta,
+        "operator": spec,
+        "delta": kwargs.get("delta", _GVI_DELTA),
         "iterations": result.iterations,
         "final_diff": result.final_diff,
         "q": result.q.q,
@@ -199,18 +218,16 @@ def _cmd_run_gvi(config, out_dir) -> int:
 def _fit_setup(config):
     """The FitConfig from the keys the config gives, the others at their defaults,
     and the MDP it fits; every setting is checked before any fitting starts."""
-    kwargs = {key: _cast(key, default, config[key]) for key, default in _FIT_DEFAULTS.items() if key in config}
+    kwargs = _read(config, _FIT_SETTINGS)
     fit = _setting("fit settings", lambda: learner.FitConfig(**kwargs))
     mdp, source = _resolve_mdp(config)
-    if fit.model_rank is not None:
-        rank = _setting("model_rank", int, fit.model_rank)
-        if not (1 <= rank <= mdp.n_states):
-            raise ConfigError(f"model_rank: must lie in [1, {mdp.n_states}], got {rank}")
+    if fit.model_rank is not None and not (1 <= fit.model_rank <= mdp.n_states):
+        raise ConfigError(f"model_rank: must lie in [1, {mdp.n_states}], got {fit.model_rank}")
     return fit, mdp, source
 
 
 def _cmd_run_learn(config, out_dir) -> int:
-    kind = _setting("kind", learner.parse_loss_kind, config.get("kind", "kl"))
+    kind = _setting("kind", learner.parse_loss_kind, _cast("kind", str, config.get("kind", "kl")))
     fit, mdp, source = _fit_setup(config)
     report = learner.fit_model(mdp, kind, fit)
     body = {"source": source, **report.to_json_dict()}
@@ -227,7 +244,7 @@ def _cmd_run_compare(config, out_dir) -> int:
     kind_specs = config.get("kinds", ["kl", "wasserstein", "vaml"])
     if not isinstance(kind_specs, list) or not kind_specs:
         raise ConfigError("'kinds' must be a nonempty list of loss kind strings")
-    kinds = [_setting("kinds", learner.parse_loss_kind, text) for text in kind_specs]
+    kinds = [_setting("kinds", learner.parse_loss_kind, _cast("kinds", str, text)) for text in kind_specs]
     fit, mdp, source = _fit_setup(config)
     comparison = learner.compare_losses(mdp, kinds, fit)
     body = {"source": source, **comparison.to_json_dict()}
@@ -245,10 +262,9 @@ def _cmd_run_compare(config, out_dir) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
+    _apply_flags(config, args, ("seed", "out"))
     _check_keys(config, _RUN_KEYS[args.what], f"run {args.what}")
-    if args.seed is not None:
-        config["seed"] = args.seed
-    out_dir = args.out if args.out is not None else config.get("out", ".")
+    out_dir = _cast("out", str, config.get("out", "."))
     if args.what == "gvi":
         return _cmd_run_gvi(config, out_dir)
     if args.what == "learn":
@@ -258,16 +274,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_gen_mdp(args) -> int:
     config = _load_config(args.config)
-    _check_keys(config, _GENERATOR_KEYS + ("out",), "gen-mdp")
-    gen = dict(config)
-    for key in ("states", "actions", "gamma", "smoothing", "seed"):
-        if getattr(args, key) is not None:
-            gen[key] = getattr(args, key)
+    _apply_flags(config, args, ("states", "actions", "gamma", "smoothing", "seed", "out"))
+    _check_keys(config, (*_GENERATOR_SETTINGS, "out"), "gen-mdp")
+    out = _cast("out", str, config.pop("out", "mdp.json"))
     try:
-        mdp = _generate(gen)
+        mdp = _generate(**_read(config, _GENERATOR_SETTINGS))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = args.out if args.out is not None else config.get("out", "mdp.json")
     parent = os.path.dirname(out)
     if parent:
         os.makedirs(parent, exist_ok=True)

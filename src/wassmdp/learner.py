@@ -10,11 +10,11 @@ central finite differences; the fit is deterministic in the seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mdp import FiniteMdp, kernel_lipschitz
+from .mdp import FiniteMdp, kernel_lipschitz, reward_lipschitz
 from .planner import MAX, evaluate_policy, greedy_policy, gvi
 from .transport import Distribution, SupportViolationError, kl_divergence, wasserstein_dual, wasserstein_primal
 from .vaml import value_lipschitz_bound
@@ -23,6 +23,8 @@ _LOSS_KINDS = ("kl", "wasserstein", "vaml")
 
 # Standard deviation of the initial logits drawn from the fit's seed.
 _INIT_SCALE = 0.01
+# Step of the central finite differences.
+_FD_EPSILON = 1e-5
 
 
 class TrainingDivergedError(RuntimeError):
@@ -159,29 +161,34 @@ def _resolve_c(mdp, kind) -> float | None:
     return value_lipschitz_bound(mdp).c
 
 
-def _pair_loss(mdp, kind, c, t_row, m_row) -> float:
+def _true_rows(mdp):
+    """The true next-state Distributions, [s][a]; a fit builds them once."""
+    return [[mdp.transition_dist(s, a) for a in range(mdp.n_actions)] for s in range(mdp.n_states)]
+
+
+def _pair_loss(mdp, kind, c, t_dist, m_row) -> float:
     if kind.kind == "kl":
         try:
-            return kl_divergence(Distribution(t_row), Distribution(m_row))
+            return kl_divergence(t_dist, Distribution(m_row))
         except SupportViolationError:
             # A model row that underflowed to zero where the true row has
             # mass; the infinite loss makes the line search halve its step.
             return np.inf
     if kind.kind == "wasserstein":
-        w, _ = wasserstein_primal(Distribution(t_row), Distribution(m_row), mdp.space)
+        w, _ = wasserstein_primal(t_dist, Distribution(m_row), mdp.space)
         return w
     if c == 0.0:
         return 0.0
-    value, _ = wasserstein_dual(Distribution(t_row), Distribution(m_row), mdp.space, c)
+    value, _ = wasserstein_dual(t_dist, Distribution(m_row), mdp.space, c)
     return float(value * value)
 
 
-def _mean_loss(mdp, kind, c, that) -> float:
+def _mean_loss(mdp, kind, c, that, rows) -> float:
     n, m = mdp.n_states, mdp.n_actions
     total = 0.0
     for s in range(n):
         for a in range(m):
-            total += _pair_loss(mdp, kind, c, mdp.transition[s, a], that[s, a])
+            total += _pair_loss(mdp, kind, c, rows[s][a], that[s, a])
     return total / (n * m)
 
 
@@ -192,7 +199,7 @@ def aggregate_loss(mdp: FiniteMdp, model, kind: LossKind) -> float:
     else:
         that = np.asarray(model, dtype=float)
     c = _resolve_c(mdp, kind)
-    return _mean_loss(mdp, kind, c, that)
+    return _mean_loss(mdp, kind, c, that, _true_rows(mdp))
 
 
 @dataclass(frozen=True)
@@ -208,7 +215,6 @@ class FitConfig:
     iters: int = 2000
     step_size: float = 0.1
     seed: int = 0
-    fd_epsilon: float = 1e-5
     log_every: int = 100
     model_rank: int | None = None
 
@@ -217,8 +223,8 @@ class FitConfig:
             raise ValueError("iters must be at least 1")
         if not (self.step_size > 0.0):
             raise ValueError("step_size must be positive")
-        if not (self.fd_epsilon > 0.0):
-            raise ValueError("fd_epsilon must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
         if self.log_every < 1:
             raise ValueError("log_every must be at least 1")
 
@@ -257,13 +263,13 @@ class TrainReport:
                 writer.writerow([i, float(v)])
 
 
-def _summed_loss(mdp, kind, c, model) -> float:
+def _summed_loss(mdp, kind, c, model, rows) -> float:
     that = model.transition_tensor()
     if not np.isfinite(that).all():
         # Non-finite logits give NaN rows, which no loss takes: a NaN loss
         # makes the fit report divergence or halve its step.
         return np.nan
-    return _mean_loss(mdp, kind, c, that) * (mdp.n_states * mdp.n_actions)
+    return _mean_loss(mdp, kind, c, that, rows) * (mdp.n_states * mdp.n_actions)
 
 
 def _kl_gradient_full(mdp, model) -> np.ndarray:
@@ -271,7 +277,7 @@ def _kl_gradient_full(mdp, model) -> np.ndarray:
     return model.transition_tensor() - mdp.transition
 
 
-def _fd_gradient_full(mdp, kind, c, model, fd_eps) -> np.ndarray:
+def _fd_gradient_full(mdp, kind, c, model, rows) -> np.ndarray:
     # A logit only moves its own (s, a) row, so central differences of the
     # summed loss reduce to differences of single cells.
     logits = model.logits
@@ -279,36 +285,35 @@ def _fd_gradient_full(mdp, kind, c, model, fd_eps) -> np.ndarray:
     grad = np.zeros_like(logits)
     for s in range(n):
         for a in range(m):
-            t_row = mdp.transition[s, a]
             for j in range(n):
                 z = logits[s, a].copy()
-                z[j] += fd_eps
-                hi = _pair_loss(mdp, kind, c, t_row, _softmax(z))
-                z[j] -= 2.0 * fd_eps
-                lo = _pair_loss(mdp, kind, c, t_row, _softmax(z))
-                grad[s, a, j] = (hi - lo) / (2.0 * fd_eps)
+                z[j] += _FD_EPSILON
+                hi = _pair_loss(mdp, kind, c, rows[s][a], _softmax(z))
+                z[j] -= 2.0 * _FD_EPSILON
+                lo = _pair_loss(mdp, kind, c, rows[s][a], _softmax(z))
+                grad[s, a, j] = (hi - lo) / (2.0 * _FD_EPSILON)
     return grad
 
 
-def _fd_gradient_flat(mdp, kind, c, model, fd_eps) -> np.ndarray:
+def _fd_gradient_flat(mdp, kind, c, model, rows) -> np.ndarray:
     vec = model.flat()
     grad = np.zeros_like(vec)
     for j in range(vec.size):
         bump = vec.copy()
-        bump[j] += fd_eps
-        hi = _summed_loss(mdp, kind, c, model.with_flat(bump))
-        bump[j] -= 2.0 * fd_eps
-        lo = _summed_loss(mdp, kind, c, model.with_flat(bump))
-        grad[j] = (hi - lo) / (2.0 * fd_eps)
+        bump[j] += _FD_EPSILON
+        hi = _summed_loss(mdp, kind, c, model.with_flat(bump), rows)
+        bump[j] -= 2.0 * _FD_EPSILON
+        lo = _summed_loss(mdp, kind, c, model.with_flat(bump), rows)
+        grad[j] = (hi - lo) / (2.0 * _FD_EPSILON)
     return grad
 
 
-def _gradient(mdp, kind, c, model, fd_eps) -> np.ndarray:
+def _gradient(mdp, kind, c, model, rows) -> np.ndarray:
     if isinstance(model, ModelParams):
         if kind.kind == "kl":
             return _kl_gradient_full(mdp, model).ravel()
-        return _fd_gradient_full(mdp, kind, c, model, fd_eps).ravel()
-    return _fd_gradient_flat(mdp, kind, c, model, fd_eps)
+        return _fd_gradient_full(mdp, kind, c, model, rows).ravel()
+    return _fd_gradient_flat(mdp, kind, c, model, rows)
 
 
 def _planning_gap(mdp, that) -> float:
@@ -351,8 +356,9 @@ def fit_model(
         )
     c = _resolve_c(mdp, kind)
     cells = n * m
+    rows = _true_rows(mdp)
 
-    loss = _summed_loss(mdp, kind, c, model)
+    loss = _summed_loss(mdp, kind, c, model, rows)
     if not np.isfinite(loss):
         raise TrainingDivergedError(0)
     curve = [loss / cells]
@@ -360,7 +366,7 @@ def fit_model(
     stopped_early = False
     iterations = 0
     for it in range(1, config.iters + 1):
-        grad = _gradient(mdp, kind, c, model, config.fd_epsilon)
+        grad = _gradient(mdp, kind, c, model, rows)
         if not np.all(np.isfinite(grad)):
             raise TrainingDivergedError(it)
         vec = model.flat()
@@ -368,7 +374,7 @@ def fit_model(
         accepted = None
         for _ in range(40):
             candidate = model.with_flat(vec - step * grad)
-            cand_loss = _summed_loss(mdp, kind, c, candidate)
+            cand_loss = _summed_loss(mdp, kind, c, candidate, rows)
             if np.isfinite(cand_loss) and cand_loss <= loss + 1e-12:
                 accepted = (candidate, cand_loss)
                 break
@@ -387,7 +393,7 @@ def fit_model(
     that = model.transition_tensor()
     per_cell = np.array(
         [
-            [_pair_loss(mdp, kind, c, mdp.transition[s, a], that[s, a]) for a in range(m)]
+            [_pair_loss(mdp, kind, c, rows[s][a], that[s, a]) for a in range(m)]
             for s in range(n)
         ]
     )
@@ -470,12 +476,16 @@ def compare_losses(mdp: FiniteMdp, kinds, config: FitConfig = FitConfig()) -> Lo
     kinds = list(kinds)
     if not kinds:
         raise ValueError("need at least one loss kind to compare")
-    # The value bound and gamma * K_W come first, so an MDP outside the
-    # bound's precondition raises ContractionPreconditionError before any fit.
-    bound = value_lipschitz_bound(mdp).c
+    # Every fit and cross-evaluation reads K_W and K_R: measure any the MDP lacks once, here.
+    # The value bound comes next, so ContractionPreconditionError comes before any fit.
     kw = mdp.measured_kernel_constant
     if kw is None:
         kw = kernel_lipschitz(mdp).constant
+    kr = mdp.measured_reward_constant
+    if kr is None:
+        kr = reward_lipschitz(mdp).constant
+    mdp = replace(mdp, measured_kernel_constant=kw, measured_reward_constant=kr)
+    bound = value_lipschitz_bound(mdp).c
     reports = [fit_model(mdp, kind, config) for kind in kinds]
     cross = {}
     for report in reports:

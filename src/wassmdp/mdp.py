@@ -248,71 +248,47 @@ def save_mdp(mdp: FiniteMdp, path) -> None:
         fh.write("\n")
 
 
-def _as_matrix(obj, path):
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim == 0:
-        raise MdpFormatError(f"{path}: expected an array")
-    return arr
+def _field(doc, key, convert, *args):
+    """convert(doc[key], *args), with a failure as an MdpFormatError naming the field."""
+    try:
+        return convert(doc[key], *args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MdpFormatError(f"{key}: {exc}") from exc
 
 
 def load_mdp(path) -> FiniteMdp:
-    """Parse and validate an MDP JSON file.
+    """Parse an MDP JSON file; FiniteMdp validates the model it describes.
 
     Rows are accepted when they sum to 1 within 1e-9 and renormalized only
     when they are not already exact, so files written by save_mdp load
     back bit-identically.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise MdpFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MdpFormatError(f"{path}: top level must be an object")
     for key in ("space", "actions", "gamma", "reward", "transition"):
         if key not in doc:
             raise MdpFormatError(f"{path}: missing field {key!r}")
+    space = _field(doc, "space", space_from_json)
+    gamma = _field(doc, "gamma", float)
+    reward = _field(doc, "reward", np.array, float)
+    transition = _field(doc, "transition", np.array, float)
+    if transition.ndim == 3:  # FiniteMdp rejects any other shape
+        sums = transition.sum(axis=2, keepdims=True)
+        err = np.abs(sums - 1.0)
+        if (err > ROW_SUM_TOL).any():
+            s, a, _ = np.argwhere(err > ROW_SUM_TOL)[0]
+            raise MdpFormatError(f"transition[{s}][{a}]: probabilities sum to {sums[s, a, 0]!r}")
+        transition = np.where(err > _EXACT_TOL, transition / sums, transition)
     try:
-        space = space_from_json(doc["space"])
-    except ValueError as exc:
-        raise MdpFormatError(f"space: {exc}") from exc
-    n = space.n
-    m = int(doc["actions"])
-    if m < 1:
-        raise MdpFormatError(f"actions: must be positive, got {m}")
-    gamma = float(doc["gamma"])
-    if not (0.0 <= gamma < 1.0):
-        raise MdpFormatError(f"gamma: must be in [0, 1), got {gamma}")
-
-    reward = _as_matrix(doc["reward"], "reward")
-    if reward.shape != (n, m):
-        raise MdpFormatError(f"reward: expected shape {(n, m)}, got {reward.shape}")
-    if not np.all(np.isfinite(reward)):
-        raise MdpFormatError("reward: contains non-finite entries")
-
-    transition = _as_matrix(doc["transition"], "transition")
-    if transition.shape != (n, m, n):
-        raise MdpFormatError(
-            f"transition: expected shape {(n, m, n)}, got {transition.shape}"
-        )
-    if not np.all(np.isfinite(transition)):
-        raise MdpFormatError("transition: contains non-finite entries")
-    fixed = transition.copy()
-    for s in range(n):
-        for a in range(m):
-            row = transition[s, a]
-            if row.min() < 0.0:
-                raise MdpFormatError(
-                    f"transition[{s}][{a}]: negative probability {row.min()!r}"
-                )
-            total = row.sum()
-            if abs(total - 1.0) > ROW_SUM_TOL:
-                raise MdpFormatError(
-                    f"transition[{s}][{a}]: probabilities sum to {total!r}"
-                )
-            if abs(total - 1.0) > _EXACT_TOL:
-                fixed[s, a] = row / total
-    try:
-        return FiniteMdp(space, reward, fixed, gamma)
+        mdp = FiniteMdp(space, reward, transition, gamma)
     except ValueError as exc:
         raise MdpFormatError(str(exc)) from exc
+    actions = doc["actions"]
+    if isinstance(actions, bool) or actions != mdp.n_actions:
+        raise MdpFormatError(f"actions: must equal the reward's {mdp.n_actions} columns, got {actions!r}")
+    return mdp

@@ -56,18 +56,10 @@ def mellowmax(beta: float) -> BackupOperator:
 
 
 def parse_operator(text: str) -> BackupOperator:
-    """Parse the CLI/config form: "max", "mean", "eps-greedy:0.1", "mellowmax:5.0"."""
+    """Parse the CLI/config form: "max", "mean", "eps-greedy:0.1", "mellowmax:5.0";
+    BackupOperator checks the kind and its parameter."""
     name, sep, arg = text.partition(":")
-    name = name.strip()
-    if name in ("max", "mean"):
-        if sep:
-            raise ValueError(f"{name} takes no parameter, got {text!r}")
-        return BackupOperator(name)
-    if name in ("eps-greedy", "mellowmax"):
-        if not sep:
-            raise ValueError(f"{name} needs a parameter, e.g. {name}:0.5")
-        return BackupOperator(name, float(arg))
-    raise ValueError(f"unknown operator spec {text!r}")
+    return BackupOperator(name.strip(), float(arg) if sep else None)
 
 
 def operator_spec(op: BackupOperator) -> str:
@@ -158,6 +150,15 @@ class GviConvergenceError(RuntimeError):
         )
 
 
+def check_gvi_settings(settings: dict) -> None:
+    """Raise ValueError, naming the setting, on a ``delta`` or ``max_iter`` that gvi
+    cannot run with; other keys of ``settings`` are not read."""
+    if "delta" in settings and not (0.0 < settings["delta"] < np.inf):
+        raise ValueError(f"delta: must be positive and finite, got {settings['delta']!r}")
+    if "max_iter" in settings and not (settings["max_iter"] >= 1):
+        raise ValueError(f"max_iter: must be at least 1, got {settings['max_iter']!r}")
+
+
 def gvi(
     mdp: FiniteMdp,
     op: BackupOperator,
@@ -176,10 +177,7 @@ def gvi(
     cell with the freshest values.  ``on_sweep(iteration, q, diff)`` is
     invoked after every sweep.
     """
-    if not (delta > 0.0):
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    if not (max_iter >= 1):
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    check_gvi_settings({"delta": delta, "max_iter": max_iter})
     n, m = mdp.n_states, mdp.n_actions
     if q0 is None:
         q = np.zeros((n, m))

@@ -9,7 +9,6 @@ execution order and any failure can be regenerated standalone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .mdp import FiniteMdp, generate_lipschitz_mdp
 from .metric import MetricSpace, lipschitz_constant, uniform_lipschitz_constant
 from .planner import MAX, MEAN, BackupOperator, apply_operator, eps_greedy, gvi, mellowmax, operator_spec
+from .planner import check_gvi_settings
 from .transport import Distribution, wasserstein_dual, wasserstein_primal
 from .vaml import holder_pinsker_bounds, value_lipschitz_bound, verify_equivalence
 
@@ -104,7 +104,7 @@ class SuiteReport:
         }
 
 
-# The least value of each integer setting of each suite.
+# The least value of each integer setting of each suite, besides ``seed: 0``.
 _MINIMA = {
     "duality": {"trials": 1, "max_states": 2},
     "equivalence": {"trials": 1, "max_states": 4, "max_actions": 1},
@@ -118,18 +118,18 @@ def check_settings(suite: str, settings: dict) -> None:
     """Raise ValueError, naming the setting, on a value ``suite`` cannot run with.
 
     Every suite calls this on entry, before it draws or generates anything;
-    ``settings`` maps keyword names to values and may leave any out.
+    ``settings`` maps keyword names to values and may leave any out.  The
+    theorem suite's ``delta`` goes to gvi, which owns its rule.
     """
-    for key, least in _MINIMA[suite].items():
+    for key, least in {"seed": 0, **_MINIMA[suite]}.items():
         if key in settings and settings[key] < least:
             raise ValueError(f"{key}: must be at least {least}, got {settings[key]}")
-    if "delta" in settings and not (0.0 < settings["delta"] < math.inf):
-        raise ValueError(f"delta: must be positive and finite, got {settings['delta']!r}")
+    check_gvi_settings(settings)
 
 
 def duality_suite(seed: int = 0, trials: int = 100, max_states: int = 20, tol: float = 1e-6) -> SuiteReport:
     """Primal coupling cost versus dual potential value at unit bound."""
-    check_settings("duality", {"trials": trials, "max_states": max_states})
+    check_settings("duality", {"seed": seed, "trials": trials, "max_states": max_states})
     max_violation = -np.inf
     worst = None
     for t in range(trials):
@@ -156,7 +156,9 @@ def equivalence_suite(
 ) -> SuiteReport:
     """Worst-case loss over the certified Lipschitz ball vs squared scaled
     transport distance, relative gap per state-action cell."""
-    check_settings("equivalence", {"trials": trials, "max_states": max_states, "max_actions": max_actions})
+    check_settings(
+        "equivalence", {"seed": seed, "trials": trials, "max_states": max_states, "max_actions": max_actions}
+    )
     max_violation = -np.inf
     worst = None
     for t in range(trials):
@@ -208,7 +210,7 @@ def theorem_suite(
     every sweep.  Cells whose discounted kernel constant reaches 1 are
     excluded as outside the bound's precondition and reported as skipped.
     """
-    check_settings("theorem", {"trials": trials, "delta": delta})
+    check_settings("theorem", {"seed": seed, "trials": trials, "delta": delta})
     operators = operators if operators is not None else _default_operator_grid()
     if mdps is not None:
         trials = min(trials, len(mdps))
@@ -286,7 +288,7 @@ def theorem_suite(
 
 def operators_suite(seed: int = 0, trials: int = 1000, tol: float = 1e-12) -> SuiteReport:
     """Non-expansion of every backup operator across its parameter grid."""
-    check_settings("operators", {"trials": trials})
+    check_settings("operators", {"seed": seed, "trials": trials})
     grid = [
         MAX,
         MEAN,
@@ -330,7 +332,7 @@ def lemmas_suite(
 ) -> SuiteReport:
     """Composition and summation bounds for measured Lipschitz constants,
     plus the Holder/Pinsker relaxation chain of the pointwise model error."""
-    check_settings("lemmas", {"trials": trials, "chain_trials": chain_trials})
+    check_settings("lemmas", {"seed": seed, "trials": trials, "chain_trials": chain_trials})
     comp_max = -np.inf
     sum_max = -np.inf
     chain_max = -np.inf

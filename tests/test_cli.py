@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wassmdp import cli, lp
+from wassmdp import cli, learner, lp, planner, suites
 from wassmdp.cli import main
 from wassmdp.mdp import FiniteMdp, load_mdp, save_mdp
 from wassmdp.metric import MetricSpace
@@ -279,14 +279,101 @@ class TestSettingKeys:
         ],
     )
     def test_verify_settings(self, suite, types):
-        defaults = cli._suite_defaults(suite)
-        assert {key: type(value) for key, value in defaults.items()} == types
+        assert cli._settings(suites.SUITES[suite]) == types
+
+    def test_run_and_generator_setting_types(self):
+        assert cli._settings(planner.gvi) == {"delta": float, "max_iter": int, "in_place": bool}
+        assert set(cli._RUN_KEYS["gvi"]) == {"mdp", "generator", "operator", "out", "delta", "max_iter", "in_place"}
+        assert cli._settings(learner.FitConfig) == {
+            "iters": int, "step_size": float, "seed": int, "log_every": int, "model_rank": int | None,
+        }
+        assert cli._settings(cli._generate) == {
+            "states": int, "actions": int, "gamma": float, "smoothing": float, "seed": int,
+            "space_kind": str, "base": str,
+        }
 
     def test_run_learn_and_compare_keys(self):
-        fit = {"iters", "step_size", "seed", "fd_epsilon", "log_every", "model_rank"}
+        fit = {"iters", "step_size", "seed", "log_every", "model_rank"}
         assert set(cli._RUN_KEYS["learn"]) == fit | {"mdp", "generator", "kind", "out"}
         assert set(cli._RUN_KEYS["compare"]) == fit | {"mdp", "generator", "kinds", "out"}
         assert len(cli._RUN_KEYS["learn"]) == len(cli._RUN_KEYS["compare"]) == len(fit) + 4
+
+
+def _mdp_doc(**fields):
+    """A valid two-state, one-action MDP file body with ``fields`` replaced."""
+    doc = {
+        "space": {"embedding": {"kind": "line", "coords": [0.0, 1.0]}},
+        "actions": 1,
+        "gamma": 0.9,
+        "reward": [[0.0], [1.0]],
+        "transition": [[[0.5, 0.5]], [[0.5, 0.5]]],
+    }
+    return {**doc, **fields}
+
+
+def _file(directory, name, doc):
+    """A config or MDP file: a dict is written as JSON, bytes as they are, and a
+    None makes a directory of that name."""
+    path = directory / name
+    if doc is None:
+        path.mkdir()
+    elif isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# Inputs that once ended in a traceback or were silently changed: (argv after
+# the command, the files it names, a piece of the one error line).
+_REJECTED = {
+    "mdp_actions_text": (("run", "gvi"), {"m.json": _mdp_doc(actions="two")}, "actions: must equal"),
+    "mdp_actions_null": (("run", "gvi"), {"m.json": _mdp_doc(actions=None)}, "got None"),
+    "mdp_gamma_null": (("run", "gvi"), {"m.json": _mdp_doc(gamma=None)}, "gamma: float() argument"),
+    "mdp_reward_text": (("run", "gvi"), {"m.json": _mdp_doc(reward=[[0.0], ["x"]])}, "reward: could not convert"),
+    "mdp_transition_ragged": (
+        ("run", "gvi"), {"m.json": _mdp_doc(transition=[[[0.5, 0.5]], [[1.0]]])}, "transition: setting an array",
+    ),
+    "mdp_not_utf8": (("run", "gvi"), {"m.json": b'{"actions": "\xff"}'}, "'utf-8' codec can't decode"),
+    "mdp_directory": (("run", "gvi"), {"m.json": None}, "Is a directory"),
+    "config_directory": (("verify", "duality"), {"cfg": None}, "Is a directory"),
+    "config_not_utf8": (("verify", "duality"), {"cfg": b'{"trials": "\xff"}'}, "'utf-8' codec can't decode"),
+    "verify_seed_flag": (("verify", "duality", "--seed", "-1"), {}, "seed: must be at least 0, got -1"),
+    "trials_fraction": (("verify", "duality"), {"cfg": {"trials": 2.7}}, "trials: must be an integer, got 2.7"),
+    "trials_bool": (("verify", "duality"), {"cfg": {"trials": True}}, "trials: must be an integer, got True"),
+    "in_place_text": (
+        ("run", "gvi"), {"cfg": {"generator": {}, "in_place": "false"}}, "in_place: must be true or false",
+    ),
+    "states_fraction": (
+        ("run", "gvi"), {"cfg": {"generator": {"states": 4.9}}}, "generator: states: must be an integer, got 4.9",
+    ),
+    "gvi_seed_flag": (("run", "gvi", "--seed", "-1"), {"cfg": {"generator": {}}}, "unknown run gvi config keys: seed"),
+    "learn_seed_flag": (("run", "learn", "--seed", "-1"), {"cfg": {"generator": {}}}, "seed must be at least 0"),
+    "model_rank_fraction": (
+        ("run", "learn"), {"cfg": {"generator": {}, "model_rank": 2.5}}, "model_rank: must be an integer, got 2.5",
+    ),
+    "delta_bool": (("run", "gvi"), {"cfg": {"generator": {}, "delta": True}}, "delta: must be a number, got True"),
+    "operator_number": (("run", "gvi"), {"cfg": {"generator": {}, "operator": 5}}, "operator: must be a string"),
+    "mdp_path_number": (("run", "gvi"), {"cfg": {"mdp": 5}}, "mdp: must be a string, got 5"),
+    "generator_text": (("run", "gvi"), {"cfg": {"generator": "states"}}, "generator: must be a JSON object"),
+}
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("case", sorted(_REJECTED))
+    def test_exit_2_with_one_error_line_and_no_report(self, tmp_path, capsys, case):
+        argv, files, named = _REJECTED[case]
+        paths = {name: _file(tmp_path, name, doc) for name, doc in files.items()}
+        if "m.json" in paths:
+            paths["cfg"] = _file(tmp_path, "cfg.json", {"mdp": paths["m.json"]})
+        config = ("--config", paths["cfg"]) if "cfg" in paths else ()
+        out = tmp_path / "out"
+        assert run_cli(*argv, *config, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
+        assert named in err
+        assert not out.exists()
 
 
 def stretch_mdp_file(directory):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from wassmdp import learner, lp
+from wassmdp import learner, lp, vaml
 from wassmdp.learner import (
     FitConfig,
     KL_LOSS,
@@ -97,11 +97,11 @@ class TestAggregateLoss:
                 m_row = rng.dirichlet(np.full(5, 0.5))
                 mask = t_row > 0.0
                 formula = max(float(np.sum(t_row[mask] * np.log(t_row[mask] / m_row[mask]))), 0.0)
-                assert _pair_loss(mdp, KL_LOSS, None, t_row, m_row) == formula
+                assert _pair_loss(mdp, KL_LOSS, None, Distribution(t_row), m_row) == formula
                 # A model row that underflowed to zero where the true row has
                 # mass: the line search must see a loss it rejects.
                 off = np.eye(5)[(int(np.argmax(t_row)) + 1) % 5]
-                assert _pair_loss(mdp, KL_LOSS, None, t_row, off) == np.inf
+                assert _pair_loss(mdp, KL_LOSS, None, Distribution(t_row), off) == np.inf
 
     def test_vaml_aggregate_is_scaled_squared_wasserstein(self):
         mdp = small_mdp(seed=3, n=5, m=2)
@@ -127,16 +127,31 @@ class TestAggregateLoss:
             assert aggregate_loss(mdp, model, kind) >= 0.0
 
 
+class TestTrueRows:
+    def test_one_distribution_per_true_row_per_fit(self, monkeypatch):
+        mdp = small_mdp(seed=5, n=4, m=2)
+        calls = []
+        build = FiniteMdp.transition_dist
+
+        def counting(self, s, a):
+            calls.append((s, a))
+            return build(self, s, a)
+
+        monkeypatch.setattr(FiniteMdp, "transition_dist", counting)
+        fit_model(mdp, WASSERSTEIN_LOSS, FitConfig(iters=3, step_size=0.5))
+        assert sorted(calls) == [(s, a) for s in range(4) for a in range(2)]
+
+
 class TestGradients:
     def test_fd_matches_analytic_kl(self):
-        from wassmdp.learner import _fd_gradient_full, _kl_gradient_full
+        from wassmdp.learner import _fd_gradient_full, _kl_gradient_full, _true_rows
 
         mdp = small_mdp(seed=5, n=4, m=2, smoothing=0.4)
         rng = cell_rng(62, 0)
         for _ in range(20):
             model = ModelParams(rng.normal(0.0, 1.0, size=(4, 2, 4)))
             analytic = _kl_gradient_full(mdp, model)
-            fd = _fd_gradient_full(mdp, KL_LOSS, None, model, 1e-5)
+            fd = _fd_gradient_full(mdp, KL_LOSS, None, model, _true_rows(mdp))
             scale = 1.0 + np.abs(analytic).max()
             assert np.abs(fd - analytic).max() <= 1e-5 * scale
 
@@ -294,6 +309,26 @@ class TestCompareLosses:
         monkeypatch.setattr(learner, "fit_model", no_fit)
         with pytest.raises(ContractionPreconditionError, match=">= 1"):
             compare_losses(mdp, [KL_LOSS], FitConfig(iters=2))
+
+    def test_measures_missing_constants_once(self, monkeypatch):
+        # An MDP read from a file carries no measured constants; every fit and
+        # cross-evaluation needs K_W, and compare_losses measures it once.
+        mdp = small_mdp(seed=15, n=4, m=1)
+        bare = FiniteMdp(mdp.space, mdp.reward, mdp.transition, mdp.gamma)
+        calls = []
+        measure = learner.kernel_lipschitz
+
+        def counting(arg):
+            calls.append(arg)
+            return measure(arg)
+
+        monkeypatch.setattr(learner, "kernel_lipschitz", counting)
+        monkeypatch.setattr(vaml, "kernel_lipschitz", counting)
+        cfg = FitConfig(iters=2, step_size=0.5)
+        kinds = [KL_LOSS, WASSERSTEIN_LOSS, vaml_loss_kind()]
+        comparison = compare_losses(bare, kinds, cfg)
+        assert len(calls) == 1
+        assert comparison.to_json_dict() == compare_losses(mdp, kinds, cfg).to_json_dict()
 
 
 class TestAnswerMemo:

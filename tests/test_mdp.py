@@ -251,6 +251,55 @@ class TestPersistence:
         mdp = load_mdp(path)
         assert abs(mdp.transition[0, 0].sum() - 1.0) <= 1e-12
 
+    def test_near_miss_rows_keep_the_row_by_row_bits(self, tmp_path):
+        # Rows long enough for numpy's pairwise summation, some exact and some
+        # off by up to 9e-10; the reference is the row-by-row loop load_mdp had.
+        rng = cell_rng(91, 0)
+        n, m = 150, 2
+        t = rng.dirichlet(np.ones(n), size=(n, m))
+        t *= 1.0 + rng.uniform(-9e-10, 9e-10, size=(n, m, 1)) * (rng.random((n, m, 1)) < 0.5)
+        mdp = FiniteMdp(MetricSpace.unit_line(n), np.zeros((n, m)), np.full((n, m, n), 1.0 / n), 0.9)
+        path = tmp_path / "model.json"
+        save_mdp(mdp, path)
+        doc = json.loads(path.read_text())
+        doc["transition"] = t.tolist()
+        path.write_text(json.dumps(doc))
+        expected = t.copy()
+        for s in range(n):
+            for a in range(m):
+                total = t[s, a].sum()
+                if abs(total - 1.0) > 1e-12:
+                    expected[s, a] = t[s, a] / total
+        assert load_mdp(path).transition.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"gamma": 1.0}, "gamma must be in [0, 1), got 1.0"),
+            ({"reward": [[0.0], [float("nan")]]}, "reward matrix contains non-finite entries"),
+            ({"reward": [[0.0, 0.0], [0.0, 0.0]]}, "transition must have shape (2, 2, 2), got (2, 1, 2)"),
+            ({"transition": [[[1.5, -0.5]], [[0.5, 0.5]]]}, "negative transition probability at state 0, action 0"),
+            ({"actions": 2}, "actions: must equal the reward's 1 columns, got 2"),
+            ({"actions": True}, "actions: must equal the reward's 1 columns, got True"),
+            ({"gamma": "high"}, "gamma: could not convert string to float: 'high'"),
+            ({"space": {"embedding": {"kind": "line", "coords": None}}}, "space: "),
+        ],
+    )
+    def test_model_rules_come_from_finite_mdp(self, tmp_path, fields, message):
+        doc = {
+            "space": {"embedding": {"kind": "line", "coords": [0.0, 1.0]}},
+            "actions": 1,
+            "gamma": 0.9,
+            "reward": [[0.0], [0.0]],
+            "transition": [[[0.5, 0.5]], [[0.5, 0.5]]],
+            **fields,
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MdpFormatError) as info:
+            load_mdp(path)
+        assert str(info.value).startswith(message)
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"actions": 1}))

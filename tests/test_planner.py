@@ -375,8 +375,13 @@ class TestGvi:
     def test_max_iter_below_one_rejected(self):
         mdp = self_loop_mdp(1.0, 0.9)
         for bad in (0, -1):
-            with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            with pytest.raises(ValueError, match="max_iter: must be at least 1"):
                 gvi(mdp, MAX, max_iter=bad)
+
+    @pytest.mark.parametrize("delta", [0.0, -1e-10, float("inf"), float("nan")])
+    def test_delta_must_be_positive_and_finite(self, delta):
+        with pytest.raises(ValueError, match=f"delta: must be positive and finite, got {delta!r}"):
+            gvi(self_loop_mdp(1.0, 0.9), MAX, delta=delta)
 
     def test_max_iter_exceeded_raises_with_diff(self):
         mdp = self_loop_mdp(1.0, 0.9)

@@ -208,6 +208,7 @@ class TestSettings:
             ("operators", {"trials": -3}, "trials: must be at least 1, got -3"),
             ("lemmas", {"trials": 0}, "trials: must be at least 1, got 0"),
             ("lemmas", {"chain_trials": 0}, "chain_trials: must be at least 1, got 0"),
+            *((suite, {"seed": -1}, "seed: must be at least 0, got -1") for suite in suites.SUITES),
         ],
     )
     def test_bad_setting_raises_before_any_draw(self, monkeypatch, suite, settings, message):
