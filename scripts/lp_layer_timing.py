@@ -13,8 +13,12 @@ second time: where the LP fits the memo, the stored answer comes back
 without a pivot (the ``answer`` column).  Prints the time per solve,
 the pivots of phase 1 and phase 2,
 and the time per pivot, which includes the solve's fixed cost spread
-over its pivots.  Run it with ``OPENBLAS_NUM_THREADS=1`` for stable
-figures:
+over its pivots.  The ``dense us`` and ``block us`` columns time the
+``_pivot`` calls alone, in a second run of ``--repeat`` solves: the mean
+microseconds per pivot that took the dense update and per pivot that
+took the block update (tableaux of ``_BLOCK_MIN_SIZE`` elements or
+more), best of the repeats, and ``-`` for a path no pivot took.  Run it
+with ``OPENBLAS_NUM_THREADS=1`` for stable figures:
 
     PYTHONPATH=src python3 scripts/lp_layer_timing.py --sizes 5 10 20 --repeat 3
 """
@@ -50,6 +54,40 @@ def w1_problems(n, seed):
     return problems
 
 
+def prime(name, dual):
+    """Empty the memo; a ``-hit`` row then finds the first dual's phase 1 and answer in it."""
+    lp.clear_memo()
+    if name.endswith("-hit"):
+        lp.solve_lp(dual)
+
+
+def pivot_us(name, problem, dual, repeat):
+    """{path: mean microseconds per ``_pivot`` call}, best of ``repeat`` solves,
+    for the paths "dense" and "block" that the solve's pivots took."""
+    pivot = lp._pivot
+    spent = {}
+
+    def timed(tab, *args):
+        start = time.perf_counter()
+        pivot(tab, *args)
+        path = "dense" if tab.size < lp._BLOCK_MIN_SIZE else "block"
+        total, calls = spent.get(path, (0.0, 0))
+        spent[path] = (total + time.perf_counter() - start, calls + 1)
+
+    best = {}
+    lp._pivot = timed
+    try:
+        for _ in range(repeat):
+            prime(name, dual)
+            spent.clear()
+            lp.solve_lp(problem)
+            for path, (total, calls) in spent.items():
+                best[path] = min(best.get(path, float("inf")), total * 1e6 / calls)
+    finally:
+        lp._pivot = pivot
+    return best
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", type=int, nargs="+", default=[5, 10, 15, 20, 30, 40])
@@ -59,7 +97,7 @@ def main():
 
     print(
         f"{'program':10} {'n':>3} {'rows':>5} {'vars':>5} {'ms/solve':>9} "
-        f"{'phase 1':>8} {'phase 2':>8} {'us/pivot':>9} {'reused':>7} {'answer':>7}"
+        f"{'phase 1':>8} {'phase 2':>8} {'us/pivot':>9} {'dense us':>9} {'block us':>9} {'reused':>7} {'answer':>7}"
     )
     for n in args.sizes:
         primal, dual, second = w1_problems(n, args.seed)
@@ -67,18 +105,19 @@ def main():
         for name, problem in programs:
             best = float("inf")
             for _ in range(args.repeat):
-                lp.clear_memo()
-                if name.endswith("-hit"):
-                    lp.solve_lp(dual)  # leaves its phase 1 and its answer in the memo
+                prime(name, dual)
                 start = time.perf_counter()
                 sol = lp.solve_lp(problem)
                 best = min(best, time.perf_counter() - start)
             p1, p2 = sol.pivots
             per_pivot = best * 1e6 / max(p1 + p2, 1)
+            paths = pivot_us(name, problem, dual, args.repeat)
+            dense, block = (f"{paths[path]:9.1f}" if path in paths else f"{'-':>9}" for path in ("dense", "block"))
             rows, nvars = problem.A.shape
             print(
                 f"{name:10} {n:3d} {rows:5d} {nvars:5d} {best * 1e3:9.2f} "
-                f"{p1:8d} {p2:8d} {per_pivot:9.1f} {str(sol.phase1_reused):>7} {str(sol.answer_reused):>7}"
+                f"{p1:8d} {p2:8d} {per_pivot:9.1f} {dense} {block} "
+                f"{str(sol.phase1_reused):>7} {str(sol.answer_reused):>7}"
             )
 
 

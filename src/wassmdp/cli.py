@@ -127,6 +127,18 @@ def _jsonable(obj):
     return obj
 
 
+def _out_dir(value) -> str:
+    """The ``out`` setting as a directory the report can go to, checked before any
+    work: the path, or else its nearest existing parent, must be a directory."""
+    out = _cast("out", str, value)
+    head = out
+    while head and not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise ConfigError(f"out: {head} exists and is not a directory")
+    return out
+
+
 def _write_report(out_dir, name, body) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
@@ -178,7 +190,7 @@ def _cmd_verify(args) -> int:
     _apply_flags(config, args, ("seed", "trials", "tol", "out"))
     types = _settings(suites.SUITES[args.suite])
     _check_keys(config, (*types, "out"), f"verify {args.suite}")
-    out_dir = _cast("out", str, config.pop("out", "."))
+    out_dir = _out_dir(config.pop("out", "."))
     kwargs = _read(config, types)
     _setting(None, suites.check_settings, args.suite, kwargs)
     report = suites.SUITES[args.suite](**kwargs)
@@ -264,7 +276,7 @@ def _cmd_run(args) -> int:
     config = _load_config(args.config)
     _apply_flags(config, args, ("seed", "out"))
     _check_keys(config, _RUN_KEYS[args.what], f"run {args.what}")
-    out_dir = _cast("out", str, config.get("out", "."))
+    out_dir = _out_dir(config.get("out", "."))
     if args.what == "gvi":
         return _cmd_run_gvi(config, out_dir)
     if args.what == "learn":
@@ -277,11 +289,13 @@ def _cmd_gen_mdp(args) -> int:
     _apply_flags(config, args, ("states", "actions", "gamma", "smoothing", "seed", "out"))
     _check_keys(config, (*_GENERATOR_SETTINGS, "out"), "gen-mdp")
     out = _cast("out", str, config.pop("out", "mdp.json"))
+    parent = _out_dir(os.path.dirname(out))
+    if os.path.isdir(out):
+        raise ConfigError(f"out: {out} is a directory, not a file")
     try:
         mdp = _generate(**_read(config, _GENERATOR_SETTINGS))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    parent = os.path.dirname(out)
     if parent:
         os.makedirs(parent, exist_ok=True)
     save_mdp(mdp, out)

@@ -9,7 +9,10 @@ so the returned point is certified feasible rather than inherited from
 accumulated tableau arithmetic.  Problems without constraint rows take
 the same path as the others.  A solve holds one dense tableau and one
 scratch buffer of the same size, and it releases both before the basis
-matrix is gathered from the standard form.
+matrix is gathered from the standard form.  That matrix is cut to the
+rows phase 1 kept only when phase 1 dropped one, so the refactorization
+of a large dual holds the basis matrix and LAPACK's own copy of it, and
+no third matrix of its size.
 
 Pivoting follows Bland's rule throughout (lowest eligible entering
 index, ratio-test ties broken by lowest basis variable index), which
@@ -25,6 +28,16 @@ primals from about n = 25) ``_pivot`` updates that block alone, entry by
 entry as the dense update does, so the pivot sequence and the results
 stay bit-identical.  Below the gate, one dense update of a tableau that
 fits in cache is faster than gathering and scattering the block.
+
+Both paths form the rank-1 products with ``np.dot`` of a column by a row,
+a BLAS product with an inner dimension of one.  Each entry is a single
+product rounded once, exactly as ``np.multiply`` rounds it; a kernel may
+add it to a zeroed output, which turns a -0.0 product into +0.0 and
+changes nothing else.  The subtraction can then leave the opposite sign
+on a zero tableau entry, which, as for the entries outside the block,
+no pivot decision and no returned value reads.  Below the gate the
+product has fewer than ``_BLOCK_MIN_SIZE`` elements, where OpenBLAS runs
+it on the calling thread.
 
 Below the gate a tableau has at most a few thousand elements, so a
 pivot's arithmetic takes a few microseconds and its cost is the fixed
@@ -335,29 +348,32 @@ def _pivot(tab, basis, p, col, work, factors):
     tab_ij - factors_i * piv_row_j, where factors is the pivot column with
     the pivot row's entry zeroed.  On large tableaux only the block of
     nonzero factors (the objective row included) and nonzero pivot-row
-    entries (the RHS column included) is gathered, updated and scattered
-    back.  Inside it each entry gets the same product and the same
-    subtraction as in the dense update, so the bits agree; an entry
-    outside it would only have a zero subtracted, which can flip the sign
-    of a zero entry and nothing else.  No pivot decision and no returned
-    value reads that sign.
+    entries (the RHS column included) is taken through one flat index,
+    updated and put back.  Inside it each entry gets the same product and
+    the same subtraction as in the dense update, so the bits agree; an
+    entry outside it would only have a zero subtracted, which can flip the
+    sign of a zero entry and nothing else.  The products come from
+    ``np.dot`` of a column by a row: with an inner dimension of one, BLAS
+    rounds each product once, as ``np.multiply`` does, and at most turns a
+    -0.0 product into +0.0, which again can flip only the sign of a zero
+    entry.  No pivot decision and no returned value reads that sign.
     """
     piv_row = tab[p]
     piv_row /= piv_row[col]
     factors[:] = tab[:, col]
     factors[p] = 0.0
     if tab.size < _BLOCK_MIN_SIZE:
-        np.multiply(factors[:, None], piv_row, out=work)
+        np.dot(factors[:, None], piv_row[None, :], out=work)
         np.subtract(tab, work, out=tab)
     else:
         rows = factors.nonzero()[0]
         cols = piv_row.nonzero()[0]
         update = work.reshape(-1)[: rows.size * cols.size].reshape(rows.size, cols.size)
-        np.multiply(factors[rows, None], piv_row[None, cols], out=update)
-        block = (rows[:, None], cols)
-        gathered = tab[block]
+        np.dot(factors.take(rows)[:, None], piv_row.take(cols)[None, :], out=update)
+        block = np.add.outer(rows * tab.shape[1], cols)
+        gathered = tab.take(block)
         gathered -= update
-        tab[block] = gathered
+        tab.put(block, gathered)
     tab[:, col] = 0.0
     tab[p, col] = 1.0
     basis[p] = col
@@ -651,18 +667,22 @@ def _solve(problem, key, start):
 
     # Re-factorize the final basis against the original standard-form data
     # so the answer does not inherit accumulated tableau drift.  B's columns
-    # are basic columns of std.A or basic slacks, cut to the kept rows.
+    # are basic columns of std.A or basic slacks, cut to the kept rows when
+    # phase 1 dropped a row.
     struct = basis < k
     slack_of = slack_rows[basis[~struct] - k]
     B = np.zeros((std.A.shape[0], m))
     B[:, struct] = std.A[:, basis[struct]]
     B[slack_of, ~struct] = std.sense[slack_of]
-    B = B[kept]
+    if kept.size < B.shape[0]:
+        B = B[kept]
     b_kept = std.b[kept]
     # These two dense LU solves are most of a large dual LP's time (three
     # quarters or more of an n = 40 W1 dual) now that pivots touch only
-    # their block.  Any cheaper factorization (one LU shared by B and B.T,
-    # a sparse LU) would change the bits of x and the duals.
+    # their block, and they set its peak memory: B plus the copy of it that
+    # LAPACK factorizes, one solve at a time.  Any cheaper factorization (one
+    # LU shared by B and B.T, a sparse LU) would change the bits of x and
+    # the duals.
     try:
         x_basic = np.linalg.solve(B, b_kept)
         y_min = np.linalg.solve(B.T, c_min[basis])

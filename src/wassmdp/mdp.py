@@ -248,12 +248,25 @@ def save_mdp(mdp: FiniteMdp, path) -> None:
         fh.write("\n")
 
 
-def _field(doc, key, convert, *args):
-    """convert(doc[key], *args), with a failure as an MdpFormatError naming the field."""
+def _field(doc, key, convert):
+    """convert(doc[key]), with a failure as an MdpFormatError naming the field."""
     try:
-        return convert(doc[key], *args)
+        return convert(doc[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise MdpFormatError(f"{key}: {exc}") from exc
+
+
+def _number_array(value):
+    """value as a float array; every entry of its nested lists must be a JSON
+    number, so a string or a bool is refused even where numpy would convert it."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(reversed(item))
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"could not convert {item!r} to float: entries must be JSON numbers")
+    return np.array(value, float)
 
 
 def load_mdp(path) -> FiniteMdp:
@@ -275,8 +288,8 @@ def load_mdp(path) -> FiniteMdp:
             raise MdpFormatError(f"{path}: missing field {key!r}")
     space = _field(doc, "space", space_from_json)
     gamma = _field(doc, "gamma", float)
-    reward = _field(doc, "reward", np.array, float)
-    transition = _field(doc, "transition", np.array, float)
+    reward = _field(doc, "reward", _number_array)
+    transition = _field(doc, "transition", _number_array)
     if transition.ndim == 3:  # FiniteMdp rejects any other shape
         sums = transition.sum(axis=2, keepdims=True)
         err = np.abs(sums - 1.0)

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -374,6 +375,49 @@ class TestRejectedInputs:
         assert "Traceback" not in err
         assert named in err
         assert not out.exists()
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the command started its work")
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    @pytest.mark.parametrize("command", ["verify", "run"])
+    def test_file_in_the_way_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch, command, under, given):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / "sub" if under else afile
+        suite = suites.SUITES["operators"]
+        monkeypatch.setitem(suites.SUITES, "operators", functools.wraps(suite)(_forbidden))
+        monkeypatch.setattr(cli, "gvi", _forbidden)
+        argv = ("verify", "operators", "--trials", "1") if command == "verify" else ("run", "gvi")
+        config = {} if command == "verify" else {"generator": {}}
+        if given == "flag":
+            argv += ("--out", str(out))
+        else:
+            config["out"] = str(out)
+        code = run_cli(*argv, "--config", str(_write(tmp_path, "c.json", config)))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: out: {afile} exists and is not a directory\n"
+        assert afile.read_text() == "kept"
+
+    def test_gen_mdp_out_under_a_file_or_a_directory_exit_2(self, tmp_path, capsys, monkeypatch):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        monkeypatch.setattr(cli, "generate_lipschitz_mdp", _forbidden)
+        assert run_cli("gen-mdp", "--out", str(afile / "m.json")) == 2
+        assert capsys.readouterr().err == f"error: out: {afile} exists and is not a directory\n"
+        assert run_cli("gen-mdp", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: out: {tmp_path} is a directory, not a file\n"
+        assert afile.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+    def test_missing_directories_are_made(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert run_cli("verify", "operators", "--trials", "1", "--out", str(out)) == 0
+        assert (out / "verify_operators.json").is_file()
 
 
 def stretch_mdp_file(directory):

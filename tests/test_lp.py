@@ -844,6 +844,142 @@ class TestBlockPivot:
         assert all(f[0] == lp.OPTIMAL and f[1][1] > 100 for f in solutions[-3:])
 
 
+def multiply_pivot(tab, basis, p, col, work, factors):
+    """The pivot before its products went through np.dot and its block through
+    one flat index, verbatim."""
+    piv_row = tab[p]
+    piv_row /= piv_row[col]
+    factors[:] = tab[:, col]
+    factors[p] = 0.0
+    if tab.size < lp._BLOCK_MIN_SIZE:
+        np.multiply(factors[:, None], piv_row, out=work)
+        np.subtract(tab, work, out=tab)
+    else:
+        rows = factors.nonzero()[0]
+        cols = piv_row.nonzero()[0]
+        update = work.reshape(-1)[: rows.size * cols.size].reshape(rows.size, cols.size)
+        np.multiply(factors[rows, None], piv_row[None, cols], out=update)
+        block = (rows[:, None], cols)
+        gathered = tab[block]
+        gathered -= update
+        tab[block] = gathered
+    tab[:, col] = 0.0
+    tab[p, col] = 1.0
+    basis[p] = col
+
+
+def positive_zeros(a):
+    """The bytes of ``a`` with every -0.0 made +0.0."""
+    return (a + 0.0).tobytes()
+
+
+class TestBlasPivot:
+    # _pivot forms its products with np.dot and updates its block through one
+    # flat index; multiply_pivot is the same pivot with np.multiply and a
+    # broadcast index.  Both must make the same Bland pivots and return the
+    # same bits, and leave every tableau equal up to the sign of a zero.
+    def test_single_pivots_match_multiply_pivot(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        for shape, gate in itertools.product(((9, 30), (61, 491), (140, 260)), (lp._BLOCK_MIN_SIZE, 0, 2**62)):
+            monkeypatch.setattr(lp, "_BLOCK_MIN_SIZE", gate)
+            tab = rng.normal(size=shape) * (rng.random(shape) < 0.3)
+            # Products of 1e-200 by 1e-200 underflow to zeros of either sign.
+            tab[rng.random(shape) < 0.05] = 1e-200 * rng.choice([-1.0, 1.0])
+            tab[1:, 2] = np.where(rng.random(shape[0] - 1) < 0.5, tab[1:, 2], 0.0)
+            tab[0, 2] = 1.5
+            tabs, bases = [tab.copy(), tab.copy()], [np.zeros(shape[0] - 1, dtype=int) for _ in range(2)]
+            for pivot, t, basis in zip((lp._pivot, multiply_pivot), tabs, bases):
+                pivot(t, basis, 0, 2, np.full(shape, np.nan), np.empty(shape[0]))
+            assert positive_zeros(tabs[0]) == positive_zeros(tabs[1])
+            assert bases[0].tobytes() == bases[1].tobytes()
+
+    def test_random_lps_match_multiply_pivot_bytewise(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        problems = [TestSolutionContracts._random_problem(rng) for _ in range(200)]
+        problems += [lp.LpProblem(p.objective, p.A, p.relations, p.rhs) for p in problems[:60]]
+        problems += [TestSolutionContracts._random_problem(rng, 100, 40) for _ in range(3)]
+        sizes, tableaux = [], []
+        pivot, run_simplex, default = lp._pivot, lp._run_simplex, lp._BLOCK_MIN_SIZE
+
+        def recording_run(tab, *args):
+            sizes.append(tab.size)
+            result = run_simplex(tab, *args)
+            tableaux.append(hashlib.sha256(positive_zeros(tab)).digest())
+            return result
+
+        monkeypatch.setattr(lp, "_run_simplex", recording_run)
+
+        def solve_all(pivot_fn, gate):
+            lp.clear_memo()
+            monkeypatch.setattr(lp, "_pivot", pivot_fn)
+            monkeypatch.setattr(lp, "_BLOCK_MIN_SIZE", gate)
+            sizes.clear()
+            tableaux.clear()
+            solutions = [fingerprint(lp.solve_lp(problem)) for problem in problems]
+            assert len(tableaux) > len(problems)
+            return solutions, list(tableaux)
+
+        # The default gate, every pivot through the block update, and every
+        # pivot through the dense one.
+        for gate in (default, 0, TestBlockPivot.DENSE_ONLY):
+            new = solve_all(pivot, gate)
+            assert new == solve_all(multiply_pivot, gate)
+        assert min(sizes) < default <= max(sizes)
+        solutions = new[0]
+        assert {f[0] for f in solutions} == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+        assert all(f[0] == lp.OPTIMAL and f[1][1] > 100 for f in solutions[-3:])
+
+
+def gathered_basis(start, basis):
+    """The basis matrix as the refactorization built it before it skipped the
+    gather of an unchanged row set: at every standard-form row, then cut to
+    the kept rows."""
+    std = start.std
+    k = std.A.shape[1]
+    struct = basis < k
+    slack_of = start.slack_rows[basis[~struct] - k]
+    B = np.zeros((std.A.shape[0], basis.shape[0]))
+    B[:, struct] = std.A[:, basis[struct]]
+    B[slack_of, ~struct] = std.sense[slack_of]
+    return B[start.kept]
+
+
+class TestRefactorization:
+    @pytest.mark.parametrize("program, dropped", [("primal", 1), ("dual", 0)])
+    def test_basis_matrix_matches_the_gathered_one_bytewise(self, monkeypatch, program, dropped):
+        rng = suites.cell_rng(17, 8)
+        space = suites.random_metric_space(rng, 8, "plane")
+        mu1, mu2 = suites.random_distribution(rng, 8), suites.random_distribution(rng, 8)
+        seen = {}
+        phase1, run_simplex, solve = lp._phase1, lp._run_simplex, np.linalg.solve
+
+        def recording_phase1(std):
+            seen["start"], work = phase1(std)
+            return seen["start"], work
+
+        def recording_run(tab, basis, *args):
+            seen["basis"] = basis  # the last run is phase 2, which leaves the final basis
+            return run_simplex(tab, basis, *args)
+
+        def recording_solve(a, b):
+            seen.setdefault("B", a)
+            return solve(a, b)
+
+        monkeypatch.setattr(lp, "_phase1", recording_phase1)
+        monkeypatch.setattr(lp, "_run_simplex", recording_run)
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        if program == "primal":
+            transport.wasserstein_primal(mu1, mu2, space)
+        else:
+            transport.wasserstein_dual(mu1, mu2, space, 1.0)
+        start, B = seen["start"], seen["B"]
+        assert start.kept.size == start.std.A.shape[0] - dropped
+        expected = gathered_basis(start, seen["basis"])
+        assert B.shape == expected.shape
+        assert B.flags.c_contiguous
+        assert B.tobytes() == expected.tobytes()
+
+
 def reference_run_simplex(tab, basis, ncols, work):
     """The Bland loop before its per-pivot numpy calls were cut, verbatim."""
     m = tab.shape[0] - 1

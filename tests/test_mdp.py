@@ -283,6 +283,11 @@ class TestPersistence:
             ({"actions": True}, "actions: must equal the reward's 1 columns, got True"),
             ({"gamma": "high"}, "gamma: could not convert string to float: 'high'"),
             ({"space": {"embedding": {"kind": "line", "coords": None}}}, "space: "),
+            # numpy would read "1.5" as 1.5 and true as 1.0; the file must say 1.5 or 1.
+            ({"reward": [[0.0], ["1.5"]]}, "reward: could not convert '1.5' to float"),
+            ({"reward": [[True], [0.0]]}, "reward: could not convert True to float"),
+            ({"transition": [[["0.5", 0.5]], [[0.5, 0.5]]]}, "transition: could not convert '0.5' to float"),
+            ({"transition": [[[0.5, 0.5]], [[False, True]]]}, "transition: could not convert False to float"),
         ],
     )
     def test_model_rules_come_from_finite_mdp(self, tmp_path, fields, message):
@@ -299,6 +304,20 @@ class TestPersistence:
         with pytest.raises(MdpFormatError) as info:
             load_mdp(path)
         assert str(info.value).startswith(message)
+
+    def test_integer_entries_load(self, tmp_path):
+        path = tmp_path / "model.json"
+        doc = {
+            "space": {"embedding": {"kind": "line", "coords": [0, 1]}},
+            "actions": 1,
+            "gamma": 0.9,
+            "reward": [[0], [1]],
+            "transition": [[[1, 0]], [[0.5, 0.5]]],
+        }
+        path.write_text(json.dumps(doc))
+        mdp = load_mdp(path)
+        assert mdp.reward.tolist() == [[0.0], [1.0]]
+        assert mdp.transition[0, 0].tolist() == [1.0, 0.0]
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "model.json"
