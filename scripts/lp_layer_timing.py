@@ -4,16 +4,17 @@
 For each size, draws one planar pair from a fixed seed, records the LP
 that ``wasserstein_primal`` and ``wasserstein_dual`` hand to ``solve_lp``
 and times ``solve_lp`` alone on it, best of ``--repeat``, with the
-phase-1 memo emptied before each solve.  A third row, ``dual-hit``, times
-the dual of a second pair on the same space: the same constraints under
-another objective, solved right after the first dual, so phase 1 comes
-from the memo where the LP is small enough for it (the ``reused``
-column).  A fourth row, ``answer-hit``, times the first dual solved a
-second time: where the LP fits the memo, the stored answer comes back
-without a pivot (the ``answer`` column).  Prints the time per solve,
-the pivots of phase 1 and phase 2,
-and the time per pivot, which includes the solve's fixed cost spread
-over its pivots.  The ``dense us`` and ``block us`` columns time the
+LP memo emptied before each solve.  A third row, ``dual-hit``, times the
+dual of a second pair on the same space: the same constraints under a
+third objective, solved right after the first dual and the dual of a
+third pair.  The memo keeps phase 1 from a constraint set's second
+objective on, so phase 1 comes from the memo where the LP is small
+enough for it (the ``reused`` column).  A fourth row, ``answer-hit``,
+times the first dual solved a second time: where the LP fits the memo,
+the stored answer comes back without a pivot (the ``answer`` column).
+Prints the time per solve, the pivots of phase 1 and phase 2, and the
+time per pivot, which includes the solve's fixed cost spread over its
+pivots.  The ``dense us`` and ``block us`` columns time the
 ``_pivot`` calls alone, in a second run of ``--repeat`` solves: the mean
 microseconds per pivot that took the dense update and per pivot that
 took the block update (tableaux of ``_BLOCK_MIN_SIZE`` elements or
@@ -32,11 +33,12 @@ from wassmdp.suites import cell_rng, random_distribution, random_metric_space
 
 def w1_problems(n, seed):
     """The primal and dual LpProblems of one planar pair of size n, and the
-    dual of a second pair on the same space."""
+    duals of a second and a third pair on the same space."""
     rng = cell_rng(seed, n)
     space = random_metric_space(rng, n, "plane")
     mu1, mu2 = random_distribution(rng, n), random_distribution(rng, n)
     mu3, mu4 = random_distribution(rng, n), random_distribution(rng, n)
+    mu5, mu6 = random_distribution(rng, n), random_distribution(rng, n)
     problems = []
     solve = lp.solve_lp
 
@@ -49,19 +51,22 @@ def w1_problems(n, seed):
         transport.wasserstein_primal(mu1, mu2, space)
         transport.wasserstein_dual(mu1, mu2, space, 1.0)
         transport.wasserstein_dual(mu3, mu4, space, 1.0)
+        transport.wasserstein_dual(mu5, mu6, space, 1.0)
     finally:
         lp.solve_lp = solve
     return problems
 
 
-def prime(name, dual):
-    """Empty the memo; a ``-hit`` row then finds the first dual's phase 1 and answer in it."""
+def prime(name, primers):
+    """Empty the memo; a ``-hit`` row then finds the first dual's answer in it,
+    and the phase 1 that the third pair's dual, a second objective, kept."""
     lp.clear_memo()
     if name.endswith("-hit"):
-        lp.solve_lp(dual)
+        for problem in primers:
+            lp.solve_lp(problem)
 
 
-def pivot_us(name, problem, dual, repeat):
+def pivot_us(name, problem, primers, repeat):
     """{path: mean microseconds per ``_pivot`` call}, best of ``repeat`` solves,
     for the paths "dense" and "block" that the solve's pivots took."""
     pivot = lp._pivot
@@ -78,7 +83,7 @@ def pivot_us(name, problem, dual, repeat):
     lp._pivot = timed
     try:
         for _ in range(repeat):
-            prime(name, dual)
+            prime(name, primers)
             spent.clear()
             lp.solve_lp(problem)
             for path, (total, calls) in spent.items():
@@ -100,18 +105,19 @@ def main():
         f"{'phase 1':>8} {'phase 2':>8} {'us/pivot':>9} {'dense us':>9} {'block us':>9} {'reused':>7} {'answer':>7}"
     )
     for n in args.sizes:
-        primal, dual, second = w1_problems(n, args.seed)
+        primal, dual, second, third = w1_problems(n, args.seed)
+        primers = (dual, third)
         programs = (("primal", primal), ("dual", dual), ("dual-hit", second), ("answer-hit", dual))
         for name, problem in programs:
             best = float("inf")
             for _ in range(args.repeat):
-                prime(name, dual)
+                prime(name, primers)
                 start = time.perf_counter()
                 sol = lp.solve_lp(problem)
                 best = min(best, time.perf_counter() - start)
             p1, p2 = sol.pivots
             per_pivot = best * 1e6 / max(p1 + p2, 1)
-            paths = pivot_us(name, problem, dual, args.repeat)
+            paths = pivot_us(name, problem, primers, args.repeat)
             dense, block = (f"{paths[path]:9.1f}" if path in paths else f"{'-':>9}" for path in ("dense", "block"))
             rows, nvars = problem.A.shape
             print(

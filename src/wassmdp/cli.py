@@ -233,8 +233,7 @@ def _fit_setup(config):
     kwargs = _read(config, _FIT_SETTINGS)
     fit = _setting("fit settings", lambda: learner.FitConfig(**kwargs))
     mdp, source = _resolve_mdp(config)
-    if fit.model_rank is not None and not (1 <= fit.model_rank <= mdp.n_states):
-        raise ConfigError(f"model_rank: must lie in [1, {mdp.n_states}], got {fit.model_rank}")
+    _setting(None, learner.check_fit_settings, mdp, fit)
     return fit, mdp, source
 
 

@@ -136,15 +136,10 @@ def vaml_loss_kind(c: float | None = None) -> LossKind:
 
 
 def parse_loss_kind(text: str) -> LossKind:
+    """Parse the CLI/config form: "kl", "wasserstein", "vaml", "vaml:2.5";
+    LossKind checks the kind and its parameter."""
     name, sep, arg = text.partition(":")
-    name = name.strip()
-    if name in ("kl", "wasserstein"):
-        if sep:
-            raise ValueError(f"{name} takes no parameter, got {text!r}")
-        return LossKind(name)
-    if name == "vaml":
-        return LossKind("vaml", float(arg) if sep else None)
-    raise ValueError(f"unknown loss kind {text!r}")
+    return LossKind(name.strip(), float(arg) if sep else None)
 
 
 def loss_kind_spec(kind: LossKind) -> str:
@@ -227,6 +222,14 @@ class FitConfig:
             raise ValueError("seed must be at least 0")
         if self.log_every < 1:
             raise ValueError("log_every must be at least 1")
+
+
+def check_fit_settings(mdp: FiniteMdp, config: FitConfig) -> None:
+    """Raise ValueError, naming the setting, on a ``model_rank`` outside [1, n]
+    for the MDP's n states; FitConfig checks the settings that need no MDP."""
+    k = config.model_rank
+    if k is not None and not (1 <= k <= mdp.n_states):
+        raise ValueError(f"model_rank: must lie in [1, {mdp.n_states}], got {k}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,6 +343,7 @@ def fit_model(
     The planning gap compares the optimal values of the true MDP with the
     true-MDP values of the policy that is greedy for the learned model.
     """
+    check_fit_settings(mdp, config)
     rng = np.random.default_rng(config.seed)
     n, m = mdp.n_states, mdp.n_actions
     if init_model is not None:
@@ -348,8 +352,6 @@ def fit_model(
         model = ModelParams(rng.normal(0.0, _INIT_SCALE, size=(n, m, n)))
     else:
         k = int(config.model_rank)
-        if not (1 <= k <= n):
-            raise ValueError(f"model_rank must lie in [1, {n}], got {k}")
         model = RankLimitedModelParams(
             rng.normal(0.0, _INIT_SCALE, size=(k, n)),
             rng.normal(0.0, _INIT_SCALE, size=(n, m, k)),
@@ -473,6 +475,7 @@ def compare_losses(mdp: FiniteMdp, kinds, config: FitConfig = FitConfig()) -> Lo
     its planning gap and the MDP's smoothness context, leaving the
     reading of the table to the caller.
     """
+    check_fit_settings(mdp, config)
     kinds = list(kinds)
     if not kinds:
         raise ValueError("need at least one loss kind to compare")

@@ -49,37 +49,25 @@ row by row and can differ in the last bit.
 
 Standardization, the tableau build and phase 1 read only the constraint
 data, never the objective, and a basis that phase 1 finds stays feasible
-for any cost vector.  A small module-level memo therefore keeps, per
-constraint set, the standard form, the tableau after phase 1, its basis,
-kept rows and phase-1 pivot count (or the phase-1 "infeasible" verdict).
-Its key is the exact bytes of ``A`` (with its shape), ``relations``,
-``rhs``, ``lower`` and ``upper``, compared byte for byte, never by a
-hash.  A hit prices the new objective into a copy of the stored tableau
-and runs phase 2, the refactorization and the certificate on the same
-code as a miss.  Phase 2 then starts from the very bits a fresh phase 1
-would have produced, so every returned bit is the same as without the
-memo.  The memo is bounded: at most ``_MEMO_ENTRIES`` entries, least
-recently used out first, and an LP whose entry could exceed
-``_MEMO_MAX_ELEMENTS`` numbers (about 1 MiB) is neither keyed nor
-stored.  Stored arrays are read-only, each solve works on its own copies,
-and a lock guards the entry list, so threads may solve concurrently.
-
-The memo also keeps whole answers.  An answer's key is the phase-1 key
-plus the exact bytes of the objective, so a dict hit is still compared
-byte for byte, and an objective entry of -0.0 where the stored one has
-+0.0 is a miss.  When both match an earlier solve, ``solve_lp`` returns
-that solve's status, x, objective, duals, dual objective and pivot
-counts without standardizing, pivoting, refactorizing or certifying
-again.  The stored answer was certified when it was solved, and the
-solver is deterministic, so a fresh solve would return the same bits.
-Answers of every status are kept, for the LPs the phase-1 memo admits
-only, up to ``_MEMO_MAX_ELEMENTS`` numbers in all, least recently used
-out first.  The count includes the keys, with one shared copy of each
-distinct ``A`` (every W1 primal of one size has the same), and
-``_ANSWER_OVERHEAD`` per answer for its Python objects.  They serve
-finite-difference model fits,
-whose loss evaluations re-solve every cell a bumped parameter leaves
-unchanged.
+for any cost vector.  A module-level memo keeps one entry per constraint
+set, keyed by the exact bytes of ``A`` (with its shape), ``relations``,
+``rhs``, ``lower`` and ``upper``, with the certified answer of each
+objective solved on it, keyed by the objective's bytes.  A dict hit still
+compares bytes, so one ulp or a -0.0 for +0.0 misses.  A byte-identical
+repeat, such as each cell a finite-difference bump leaves unchanged, gets
+the stored answer back without solving; the solver is deterministic, so
+a fresh solve would return the same bits.  Once a constraint set comes
+back with a second objective, its entry also keeps the standard form and
+the tableau, basis, kept rows and pivot count after phase 1 (or the
+"infeasible" verdict).  Later objectives price into a copy of that
+tableau and run phase 2, the refactorization and the certificate as a
+miss does, from the bits a fresh phase 1 would give.  A constraint set
+seen with one objective, such as a W1 primal, copies no tableau.  An LP
+whose phase-1 result could exceed ``_MEMO_MAX_ELEMENTS`` numbers (1 MiB)
+is not keyed, and all entries hold at most ``_MEMO_BUDGET`` numbers
+(2 MiB), least recently used out first.  Stored arrays are read-only,
+each solve works on its own copies, and a lock guards the entries, so
+threads may solve concurrently.
 """
 
 from __future__ import annotations
@@ -102,14 +90,12 @@ OPTIMALITY_TOL = 1e-9
 _PIVOT_TOL = 1e-10
 # Tableau size (elements) from which _pivot updates only the nonzero block.
 _BLOCK_MIN_SIZE = 30_000
-# Phase-1 memo: the number of entries kept, and the most numbers one entry
-# may hold (the key's copy of A, the standard-form matrix and the tableau).
-# The stored answers together hold at most _MEMO_MAX_ELEMENTS numbers too,
-# each counting _ANSWER_OVERHEAD numbers for its Python objects: the key
-# tuple and its bytes objects, the arrays and the solution take about 1 KiB
-# besides the numbers they hold.
-_MEMO_ENTRIES = 4
+# LP memo: the most numbers one LP's phase-1 result may hold (the key's copy
+# of A, the standard-form matrix and the tableau), and the most all entries
+# hold together (2 MiB), each answer counting _ANSWER_OVERHEAD numbers for
+# its Python objects, about 1 KiB besides its arrays and objective bytes.
 _MEMO_MAX_ELEMENTS = 131_072
+_MEMO_BUDGET = 262_144
 _ANSWER_OVERHEAD = 128
 
 
@@ -398,25 +384,22 @@ class _Phase1:
     pivots: int
 
 
-_memo: list = []  # (key, read-only _Phase1) pairs, most recently used first
-# Answer key -> (numbers held besides A, LpSolution with read-only arrays),
-# least recently used first; the bytes of A -> [the copy their keys share,
-# how many keys do]; and the numbers held, each shared A counted once.
-_answers: collections.OrderedDict = collections.OrderedDict()
-_answer_A: dict = {}
-_answers_held = 0
+# Constraint key -> [read-only _Phase1 or None, {objective bytes: answer with
+# read-only arrays}, numbers held], least recently used first; and the
+# numbers all entries hold together.
+_memo: collections.OrderedDict = collections.OrderedDict()
+_memo_held = 0
 _counts = {"solves": 0, "phase1_reused": 0, "answer_reused": 0}
 _memo_lock = threading.Lock()
 
 
 def clear_memo():
-    """Forget every stored phase-1 result and answer, and zero ``memo_counts()``."""
-    global _answers_held
+    """Forget every stored constraint set with its phase 1 and answers, and
+    zero ``memo_counts()``."""
+    global _memo_held
     with _memo_lock:
         _memo.clear()
-        _answers.clear()
-        _answer_A.clear()
-        _answers_held = 0
+        _memo_held = 0
         _counts.update(dict.fromkeys(_counts, 0))
 
 
@@ -452,87 +435,69 @@ def _memo_key(problem):
     )
 
 
-def _memo_lookup(key, answer_key):
-    """The stored answer, or else the stored phase-1 result, for one solve.
+def _memo_lookup(key, cost):
+    """What the memo holds for one solve, and whether to keep its phase 1.
 
-    Returns (answer, start), at most one of them not None, and counts the
-    solve; an unkeyed LP (``key`` None) is only counted.
+    Returns (answer, start, keep): the stored answer of a byte-identical
+    repeat or None, the stored phase-1 result or None, and ``keep`` true
+    when the constraint set is stored with neither, so that it came back
+    with another objective.  Counts the solve; an unkeyed LP (``key``
+    None) is only counted.
     """
     with _memo_lock:
         _counts["solves"] += 1
-        if key is None:
-            return None, None
         # A dict hit compares the tuples of shapes and bytes exactly too.
-        entry = _answers.get(answer_key)
-        if entry is not None:
-            _answers.move_to_end(answer_key)
-            _counts["phase1_reused"] += 1
-            _counts["answer_reused"] += 1
-            return entry[1], None
-        for i, (stored, start) in enumerate(_memo):
-            if stored == key:  # tuples of shapes and bytes: an exact comparison
-                _memo.insert(0, _memo.pop(i))
-                _counts["phase1_reused"] += 1
-                return None, start
-    return None, None
+        entry = None if key is None else _memo.get(key)
+        if entry is None:
+            return None, None, False
+        _memo.move_to_end(key)
+        start, answers, _ = entry
+        answer = answers.get(cost)
+        if answer is None and start is None:
+            return None, None, True
+        _counts["phase1_reused"] += 1
+        _counts["answer_reused"] += answer is not None
+        return answer, start, False
 
 
-def _memo_store(key, start):
-    """Keep a read-only copy of ``start``; phase 2 goes on with the original."""
-    std = start.std
-    arrays = [std.A, std.b, std.sense, std.src, std.signs, std.q, std.first, std.split, start.slack_rows]
-    if start.tab is not None:
-        start = _Phase1(std, start.slack_rows, start.tab.copy(), start.basis.copy(), start.kept, start.pivots)
-        arrays += [start.tab, start.basis, start.kept]
-    for a in arrays:
+def _memo_store(key, cost, sol, start):
+    """File a read-only copy of ``sol`` under ``cost`` in ``key``'s entry, and
+    ``start``, a phase-1 result phase 2 no longer writes, unless it is None
+    or the entry has one.  An entry counts its key's numbers, its arrays'
+    and ``_ANSWER_OVERHEAD`` per answer; the least recently used go first
+    until all hold at most ``_MEMO_BUDGET`` numbers.
+    """
+    global _memo_held
+    x, duals = (None if a is None else a.copy() for a in (sol.x, sol.duals))
+    answer = dataclasses.replace(sol, x=x, duals=duals, phase1_reused=True, answer_reused=True)
+    answer_arrays = _arrays(answer)
+    start_arrays = [] if start is None else _arrays(start.std) + _arrays(start)
+    for a in answer_arrays + start_arrays:
         a.setflags(write=False)
     with _memo_lock:
-        _memo[:] = [entry for entry in _memo if entry[0] != key]
-        _memo.insert(0, (key, start))
-        del _memo[_MEMO_ENTRIES:]
+        entry = _memo.get(key)
+        if entry is None:
+            entry = _memo[key] = [None, {}, sum(len(part) for part in key[1:]) // 8]
+            _memo_held += entry[2]
+        _memo.move_to_end(key)
+        added = 0
+        if cost not in entry[1]:
+            entry[1][cost] = answer
+            added += _ANSWER_OVERHEAD + len(cost) // 8 + sum(a.size for a in answer_arrays)
+        if start is not None and entry[0] is None:
+            entry[0] = start
+            added += sum(a.size for a in start_arrays)
+        entry[2] += added
+        _memo_held += added
+        while _memo_held > _MEMO_BUDGET:
+            _, (_, _, dropped) = _memo.popitem(last=False)
+            _memo_held -= dropped
 
 
-def _copies(*arrays):
-    """A fresh copy of each array; None stays None."""
-    return [None if a is None else a.copy() for a in arrays]
-
-
-def _memo_store_answer(answer_key, sol):
-    """Keep a read-only copy of ``sol``'s arrays; the caller keeps ``sol``.
-
-    An answer holds its key's numbers, its x and duals and
-    ``_ANSWER_OVERHEAD`` for its objects, except that answers whose ``A``
-    has the same bytes (every W1 primal of one size) share one copy of
-    them, counted once.  Answers are dropped least recently used first
-    until all of them together hold at most ``_MEMO_MAX_ELEMENTS`` numbers.
-    """
-    global _answers_held
-    x, duals = _copies(sol.x, sol.duals)
-    held = _ANSWER_OVERHEAD + sum(len(part) for part in answer_key[2:]) // 8
-    for a in (x, duals):
-        if a is not None:
-            a.setflags(write=False)
-            held += a.size
-    stored = dataclasses.replace(sol, x=x, duals=duals, phase1_reused=True, answer_reused=True)
-    a_bytes = answer_key[1]
-    with _memo_lock:
-        if held + len(a_bytes) // 8 > _MEMO_MAX_ELEMENTS or answer_key in _answers:
-            return
-        shared = _answer_A.get(a_bytes)
-        if shared is None:
-            shared = _answer_A[a_bytes] = [a_bytes, 0]
-            _answers_held += len(a_bytes) // 8
-        shared[1] += 1
-        _answers[(answer_key[0], shared[0]) + answer_key[2:]] = (held, stored)
-        _answers_held += held
-        while _answers_held > _MEMO_MAX_ELEMENTS:
-            key, (dropped, _) = _answers.popitem(last=False)
-            _answers_held -= dropped
-            shared = _answer_A[key[1]]
-            shared[1] -= 1
-            if not shared[1]:
-                del _answer_A[key[1]]
-                _answers_held -= len(key[1]) // 8
+def _arrays(record):
+    """The array fields of a dataclass instance, None fields left out."""
+    values = (getattr(record, f.name) for f in dataclasses.fields(record))
+    return [v for v in values if isinstance(v, np.ndarray)]
 
 
 def _phase1(std):
@@ -601,33 +566,38 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve a small dense LP to a certified optimal vertex.
 
     Every problem, with or without constraint rows, takes the same path,
-    and memory stays at one tableau plus one scratch buffer, and for an LP
-    small enough for the memo the stored copy of its phase-1 tableau.
-    Phase 1 is taken from the memo when the same constraint data was
-    solved before.
-    Infeasibility and unboundedness are reported through the status, not
-    by raising; only malformed input raises, and so does an optimum that
-    fails its certificate: x must be feasible and the objective must agree
-    with the dual objective to ``FEASIBILITY_TOL`` relative to it.  A
-    singular final basis raises ``SingularBasisError``.  A
-    byte-identical repeat of an LP still in the memo returns the stored
-    answer, with fresh copies of its arrays.
+    and memory stays at one tableau plus one scratch buffer, and on the
+    second objective of a constraint set small enough for the memo the
+    stored copy of its phase-1 tableau.  From its third objective on,
+    phase 1 comes from the memo.  A byte-identical repeat of an LP still
+    in the memo returns the stored answer, with fresh copies of its
+    arrays.  Infeasibility and unboundedness are reported through the
+    status, not by raising; only malformed input raises, and so does an
+    optimum that fails its certificate: x must be feasible and the
+    objective must agree with the dual objective to ``FEASIBILITY_TOL``
+    relative to it.  A singular final basis raises ``SingularBasisError``.
     """
     key = _memo_key(problem)
-    answer_key = None if key is None else key + (problem.objective.tobytes(),)
-    answer, start = _memo_lookup(key, answer_key)
+    cost = problem.objective.tobytes()
+    answer, start, keep = _memo_lookup(key, cost)
     if answer is not None:
-        x, duals = _copies(answer.x, answer.duals)
+        x, duals = (None if a is None else a.copy() for a in (answer.x, answer.duals))
         return dataclasses.replace(answer, x=x, duals=duals)
-    sol = _solve(problem, key, start)
-    if answer_key is not None:
-        _memo_store_answer(answer_key, sol)
+    sol, stored = _solve(problem, start, keep)
+    if key is not None:
+        _memo_store(key, cost, sol, stored)
     return sol
 
 
-def _solve(problem, key, start):
-    """solve_lp past the memo lookup: ``start`` is the stored phase-1 result or None."""
+def _solve(problem, start, keep):
+    """solve_lp past the memo lookup: ``start`` is the stored phase-1 result or None.
+
+    Returns the solution and, when ``keep`` is set and phase 1 ran, its
+    result for the memo, with a tableau and basis that phase 2 did not
+    touch; else None.
+    """
     reused = start is not None
+    stored = None
     if reused:
         # Phase 2 writes its tableau and basis; the stored ones are read-only.
         tab = basis = work = None
@@ -637,16 +607,16 @@ def _solve(problem, key, start):
     else:
         std = _standardize(problem)
         if std is None:
-            return LpSolution(status=INFEASIBLE)
+            return LpSolution(status=INFEASIBLE), None
         start, work = _phase1(std)
         tab, basis = start.tab, start.basis
-        if key is not None:
-            _memo_store(key, start)
+        if keep:
+            stored = start if tab is None else dataclasses.replace(start, tab=tab.copy(), basis=basis.copy())
     # Unpacked, so that dropping tab below frees the tableau.
     std, slack_rows, kept, phase1_pivots = start.std, start.slack_rows, start.kept, start.pivots
     start = None
     if tab is None:
-        return LpSolution(status=INFEASIBLE, pivots=(phase1_pivots, 0), phase1_reused=reused)
+        return LpSolution(status=INFEASIBLE, pivots=(phase1_pivots, 0), phase1_reused=reused), stored
     k = std.A.shape[1]
     m, ncols = tab.shape[0] - 1, tab.shape[1] - 1
     c, offset = std.costs(problem.objective)
@@ -662,7 +632,7 @@ def _solve(problem, key, start):
     status, phase2_pivots = _run_simplex(tab, basis, ncols, work)
     pivots = (phase1_pivots, phase2_pivots)
     if status == "unbounded":
-        return LpSolution(status=UNBOUNDED, pivots=pivots, phase1_reused=reused)
+        return LpSolution(status=UNBOUNDED, pivots=pivots, phase1_reused=reused), stored
     tab = work = None
 
     # Re-factorize the final basis against the original standard-form data
@@ -699,7 +669,7 @@ def _solve(problem, key, start):
     duals = -y_min
     dual_value = float(duals @ b_kept) + offset
     _certify(problem, x, value, dual_value)
-    return LpSolution(OPTIMAL, x, value, duals, dual_value, pivots, reused)
+    return LpSolution(OPTIMAL, x, value, duals, dual_value, pivots, reused), stored
 
 
 def _certify(problem, x, value, dual_value):

@@ -14,6 +14,8 @@ import numpy as np
 from .metric import (
     LipschitzReport,
     MetricSpace,
+    _json_number,
+    _number_array,
     space_from_json,
     uniform_lipschitz_constant,
 )
@@ -256,19 +258,6 @@ def _field(doc, key, convert):
         raise MdpFormatError(f"{key}: {exc}") from exc
 
 
-def _number_array(value):
-    """value as a float array; every entry of its nested lists must be a JSON
-    number, so a string or a bool is refused even where numpy would convert it."""
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, list):
-            stack.extend(reversed(item))
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ValueError(f"could not convert {item!r} to float: entries must be JSON numbers")
-    return np.array(value, float)
-
-
 def load_mdp(path) -> FiniteMdp:
     """Parse an MDP JSON file; FiniteMdp validates the model it describes.
 
@@ -287,7 +276,7 @@ def load_mdp(path) -> FiniteMdp:
         if key not in doc:
             raise MdpFormatError(f"{path}: missing field {key!r}")
     space = _field(doc, "space", space_from_json)
-    gamma = _field(doc, "gamma", float)
+    gamma = _field(doc, "gamma", _json_number)
     reward = _field(doc, "reward", _number_array)
     transition = _field(doc, "transition", _number_array)
     if transition.ndim == 3:  # FiniteMdp rejects any other shape

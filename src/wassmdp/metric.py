@@ -149,8 +149,33 @@ class MetricSpace:
         return out
 
 
+def _json_number(value) -> float:
+    """value as a float, which it must be as a JSON number: what float() refuses
+    raises float()'s own error, and a string or a bool that float() would
+    convert is refused too."""
+    number = float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"could not convert {value!r} to float: not a JSON number")
+    return number
+
+
+def _number_array(value) -> np.ndarray:
+    """value as a float array; every entry of its nested lists goes through
+    ``_json_number``, so a string or a bool is refused even where numpy would
+    convert it."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(reversed(item))
+        else:
+            _json_number(item)
+    return np.array(value, float)
+
+
 def space_from_json(obj) -> MetricSpace:
-    """Parse the MetricSpace JSON form (matrix or embedding flavour)."""
+    """Parse the MetricSpace JSON form (matrix or embedding flavour); coordinates,
+    distances and ``n`` must be JSON numbers."""
     if not isinstance(obj, dict):
         raise MetricError(f"metric space must be a JSON object, got {type(obj).__name__}")
     labels = obj.get("labels")
@@ -160,16 +185,16 @@ def space_from_json(obj) -> MetricSpace:
             raise MetricError("embedding needs 'kind' and 'coords' fields")
         kind = emb["kind"]
         if kind == "line":
-            return MetricSpace.line(emb["coords"], labels)
+            return MetricSpace.line(_number_array(emb["coords"]), labels)
         if kind == "circle":
-            return MetricSpace.circle(emb["coords"], labels)
+            return MetricSpace.circle(_number_array(emb["coords"]), labels)
         if kind == "grid2d":
-            return MetricSpace.grid2d(emb["coords"], labels)
+            return MetricSpace.grid2d(_number_array(emb["coords"]), labels)
         raise MetricError(f"unknown embedding kind {kind!r}")
     if "dist" not in obj:
         raise MetricError("metric space needs either 'dist' or 'embedding'")
-    space = MetricSpace.from_matrix(obj["dist"], labels)
-    if "n" in obj and int(obj["n"]) != space.n:
+    space = MetricSpace.from_matrix(_number_array(obj["dist"]), labels)
+    if "n" in obj and _json_number(obj["n"]) != space.n:
         raise MetricError(f"declared n = {obj['n']} but dist matrix is {space.n}x{space.n}")
     return space
 

@@ -252,8 +252,9 @@ class TestRun:
             ("learn", {"step_size": -1}),
             ("learn", {"kind": "vaml", "model_rank": 9}),
             ("compare", {"kinds": ["kl", "nope"]}),
+            ("compare", {"model_rank": 9}),
         ],
-        ids=["operator", "delta", "max_iter", "kind", "iters", "step_size", "model_rank", "kinds"],
+        ids=["operator", "delta", "max_iter", "kind", "iters", "step_size", "model_rank", "kinds", "compare_model_rank"],
     )
     def test_bad_run_setting_exit_2_before_any_work(self, tmp_path, capsys, what, settings):
         out = tmp_path / "out"
@@ -332,6 +333,11 @@ _REJECTED = {
     "mdp_actions_null": (("run", "gvi"), {"m.json": _mdp_doc(actions=None)}, "got None"),
     "mdp_gamma_null": (("run", "gvi"), {"m.json": _mdp_doc(gamma=None)}, "gamma: float() argument"),
     "mdp_reward_text": (("run", "gvi"), {"m.json": _mdp_doc(reward=[[0.0], ["x"]])}, "reward: could not convert"),
+    "mdp_gamma_text": (("run", "gvi"), {"m.json": _mdp_doc(gamma="0.5")}, "gamma: could not convert '0.5' to float"),
+    "mdp_space_bool": (
+        ("run", "gvi"), {"m.json": _mdp_doc(space={"embedding": {"kind": "line", "coords": [0, True]}})},
+        "space: could not convert True to float",
+    ),
     "mdp_transition_ragged": (
         ("run", "gvi"), {"m.json": _mdp_doc(transition=[[[0.5, 0.5]], [[1.0]]])}, "transition: setting an array",
     ),

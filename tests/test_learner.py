@@ -35,12 +35,38 @@ class TestLossKind:
         for text in ("kl", "wasserstein", "vaml:2.5"):
             assert loss_kind_spec(parse_loss_kind(text)) == text
         assert parse_loss_kind("vaml").c is None
-        with pytest.raises(ValueError):
-            parse_loss_kind("kl:1")
-        with pytest.raises(ValueError):
-            parse_loss_kind("hellinger")
+        # LossKind owns the kind and parameter rules; the parser only splits.
+        for text, message in (
+            ("kl:1", "kl takes no parameter"),
+            ("wasserstein:0", "wasserstein takes no parameter"),
+            ("hellinger", "unknown loss kind 'hellinger'"),
+            ("vaml:-1", "vaml radius must be finite and >= 0"),
+            ("vaml:x", "could not convert string to float"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                parse_loss_kind(text)
+        assert parse_loss_kind(" vaml :2.5").c == 2.5
         with pytest.raises(ValueError):
             LossKind("vaml", -1.0)
+
+
+class TestFitSettings:
+    def test_model_rank_checked_before_any_work(self, monkeypatch):
+        mdp = small_mdp(seed=2, n=4, m=2)
+        solves = []
+        monkeypatch.setattr(lp, "solve_lp", solves.append)
+        for rank in (0, 5):
+            bad = FitConfig(iters=1, model_rank=rank)
+            for run in (
+                lambda: learner.check_fit_settings(mdp, bad),
+                lambda: fit_model(mdp, WASSERSTEIN_LOSS, bad),
+                lambda: compare_losses(mdp, [WASSERSTEIN_LOSS], bad),
+            ):
+                with pytest.raises(ValueError, match=rf"model_rank: must lie in \[1, 4\], got {rank}"):
+                    run()
+        assert not solves
+        for rank in (None, 1, 4):
+            learner.check_fit_settings(mdp, FitConfig(model_rank=rank))
 
 
 class TestModels:

@@ -301,7 +301,9 @@ class TestSolutionContracts:
         # The objective's constant term enters the dual objective alone, so
         # shifting it opens a duality gap inside solve_lp, both when phase 1
         # comes from the memo and when it runs afresh.  A second objective
-        # keeps the stored answer of the first solve out of it.
+        # makes the memo keep phase 1, and a third keeps the stored answers
+        # of the first two out of it.
+        lp.solve_lp(with_objective(problem, [1.0, 1.0]))
         costs = lp._Standard.costs
 
         def shifted(std, objective):
@@ -309,15 +311,16 @@ class TestSolutionContracts:
             return c, offset + 1e-6
 
         monkeypatch.setattr(lp._Standard, "costs", shifted)
-        second = with_objective(problem, [2.0, 1.0])
-        assert [key for key, _ in lp._memo] == [lp._memo_key(second)]
-        assert not lp._answers.keys() & {lp._memo_key(second) + (second.objective.tobytes(),)}
+        third = with_objective(problem, [2.0, 1.0])
+        assert list(lp._memo) == [lp._memo_key(third)]
+        start, answers, _ = lp._memo[lp._memo_key(third)]
+        assert start is not None and third.objective.tobytes() not in answers
         with pytest.raises(ArithmeticError, match="dual objective"):
-            lp.solve_lp(second)
-        assert lp.memo_counts() == {"solves": 2, "phase1_reused": 1, "answer_reused": 0}
+            lp.solve_lp(third)
+        assert lp.memo_counts() == {"solves": 3, "phase1_reused": 1, "answer_reused": 0}
         lp.clear_memo()
         with pytest.raises(ArithmeticError, match="dual objective"):
-            lp.solve_lp(second)
+            lp.solve_lp(third)
 
     def test_singular_final_basis_raises_typed_error(self, monkeypatch):
         def singular(a, b):
@@ -396,42 +399,42 @@ def shared_constraint_groups():
 def memo_arrays():
     """Every array the memo holds, in phase-1 results and in answers."""
     arrays = []
-    for _, start in lp._memo:
-        std = start.std
-        arrays += [std.A, std.b, std.sense, std.src, std.signs, std.q, std.first, std.split, start.slack_rows]
-        if start.tab is not None:
-            arrays += [start.tab, start.basis, start.kept]
-    for _, sol in lp._answers.values():
-        arrays += [a for a in (sol.x, sol.duals) if a is not None]
+    for start, answers, _ in lp._memo.values():
+        if start is not None:
+            std = start.std
+            arrays += [std.A, std.b, std.sense, std.src, std.signs, std.q, std.first, std.split, start.slack_rows]
+            if start.tab is not None:
+                arrays += [start.tab, start.basis, start.kept]
+        for sol in answers.values():
+            arrays += [a for a in (sol.x, sol.duals) if a is not None]
     return arrays
 
 
-def answers_held():
-    """The numbers the stored answers hold, recounted from their keys and arrays.
+def entries_held():
+    """The numbers the memo holds, recounted from its keys and arrays.
 
-    Each answer counts its objects, its key's bytes besides A, its x and
-    its duals; each distinct A counts once, and answers with equal A share
-    one bytes object.
+    Each entry counts its key's bytes, every array of its phase-1 result
+    and of its answers, and per answer its objective's bytes and
+    ``_ANSWER_OVERHEAD`` for its objects; each entry's own count must agree.
     """
     total = 0
-    for key, (held, sol) in lp._answers.items():
-        own = lp._ANSWER_OVERHEAD + sum(len(part) for part in key[2:]) // 8
-        own += sum(a.size for a in (sol.x, sol.duals) if a is not None)
+    for key, (start, answers, held) in lp._memo.items():
+        own = sum(len(part) for part in key[1:]) // 8
+        if start is not None:
+            std = start.std
+            parts = (std.A, std.b, std.sense, std.src, std.signs, std.q, std.first, std.split)
+            parts += (start.slack_rows, start.tab, start.basis, start.kept)
+            own += sum(a.size for a in parts if a is not None)
+        for cost, sol in answers.items():
+            own += lp._ANSWER_OVERHEAD + len(cost) // 8
+            own += sum(a.size for a in (sol.x, sol.duals) if a is not None)
         assert held == own
         total += own
-    matrices = {key[1] for key in lp._answers}
-    assert len({id(key[1]) for key in lp._answers}) == len(matrices)
-    assert set(lp._answer_A) == matrices
-    return total + sum(len(a) // 8 for a in matrices)
+    return total
 
 
-def answer_key(problem):
-    return lp._memo_key(problem) + (problem.objective.tobytes(),)
-
-
-def held(entry):
-    """Numbers a memo entry holds in its key's copy of A, standard form and tableau."""
-    key, start = entry
+def phase1_held(key, start):
+    """Numbers a phase-1 entry holds in its key's copy of A, standard form and tableau."""
     return len(key[1]) // 8 + start.std.A.size + (0 if start.tab is None else start.tab.size)
 
 
@@ -445,15 +448,17 @@ def fresh_solve(problem):
 
 class TestPhase1Memo:
     def test_hits_match_fresh_solves_bytewise(self):
+        # Phase 1 is kept when a constraint set comes back with a second
+        # objective and reused from the third on.
         groups = shared_constraint_groups()
         hits = []
         for group in groups:
             lp.clear_memo()
             solutions = [lp.solve_lp(problem) for problem in group]
-            assert [sol.phase1_reused for sol in solutions] == [False] + [True] * (len(group) - 1)
+            assert [sol.phase1_reused for sol in solutions] == [False, False] + [True] * (len(group) - 2)
             for problem, sol in zip(group, solutions):
                 assert fingerprint(sol) == fingerprint(fresh_solve(problem))
-            hits.append(solutions[1:])
+            hits.append(solutions[2:])
         # The redundant row is dropped and the drive-out pivot counted on hits too.
         assert all(sol.duals.shape == (2,) for sol in hits[-4])
         assert all(sol.pivots[0] == 1 for sol in hits[-3])
@@ -477,18 +482,36 @@ class TestPhase1Memo:
 
         monkeypatch.setattr(lp, "_standardize", counting)
         sequence = [a, b, c, with_objective(a, [2.0, -1.0]), a, with_objective(b, [0.0, 1.0])]
-        sequence += [with_objective(c, [-1.0, 1.0]), with_objective(c, [0.0, 1.0])]
+        sequence += [with_objective(c, [-1.0, 1.0]), with_objective(c, [0.0, 1.0]), with_objective(b, [1.0, 0.0])]
+        sequence += [with_objective(a, [0.0, 1.0]), with_objective(c, [1.0, 1.0])]
         sequence += [lp.LpProblem(a.objective, a.A, a.relations, a.rhs + 1e-9, a.lower, a.upper)]
         sequence += [lp.LpProblem(a.objective, a.A, a.relations, a.rhs, a.lower, a.upper + 0.5)]
         solutions = [lp.solve_lp(problem) for problem in sequence]
         assert [sol.status for sol in solutions] == [
             lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED, lp.OPTIMAL, lp.OPTIMAL, lp.INFEASIBLE,
-            lp.UNBOUNDED, lp.OPTIMAL, lp.OPTIMAL, lp.OPTIMAL,
+            lp.UNBOUNDED, lp.OPTIMAL, lp.INFEASIBLE, lp.OPTIMAL, lp.UNBOUNDED, lp.OPTIMAL, lp.OPTIMAL,
         ]
         flags = [sol.phase1_reused for sol in solutions]
-        assert flags == [False, False, False, True, True, True, True, True, False, False]
+        assert flags == [False, False, False, False, True, False, False, True, True, True, True, False, False]
         # A hit neither standardizes nor runs phase 1.
         assert len(calls) == flags.count(False)
+
+    def test_w1_primals_leave_no_tableau(self):
+        # A W1 primal's right-hand side holds its two marginals and its
+        # objective the metric, so its constraint set comes back only as a
+        # byte-identical repeat: no primal entry keeps a phase-1 tableau.
+        # The VAML duals of one space keep theirs from the second objective.
+        mdp = generate_lipschitz_mdp(4, 2, 0.9, 0.5, seed=3)
+        config = learner.FitConfig(iters=1, step_size=0.5, model_rank=2)
+        learner.fit_model(mdp, learner.WASSERSTEIN_LOSS, config)
+        primals = list(lp._memo.values())
+        assert len(primals) > 8
+        assert all(start is None for start, _, _ in primals)
+        assert lp.memo_counts()["phase1_reused"] == lp.memo_counts()["answer_reused"] > 0
+        learner.fit_model(mdp, learner.LossKind("vaml", 1.0), config)
+        duals = [entry for entry in lp._memo.values() if entry not in primals]
+        assert duals and all(start is not None and start.tab is not None for start, _, _ in duals)
+        assert all(start is None for start, _, _ in primals)
 
     def test_memo_arrays_reject_writes(self):
         for group in shared_constraint_groups()[::9]:
@@ -503,6 +526,7 @@ class TestPhase1Memo:
                             arr.flat[0] = 0
                 returned = [v for v in (sol.x, sol.duals) if v is not None]
                 assert not any(np.shares_memory(v, arr) for v in returned for arr in arrays)
+        assert any(start is not None for start, _, _ in lp._memo.values())
 
     def test_caller_mutation_misses(self):
         rng = np.random.default_rng(71)
@@ -518,7 +542,9 @@ class TestPhase1Memo:
                 problem = TestSolutionContracts._random_problem(rng, 3, 3)
                 lp.clear_memo()
                 lp.solve_lp(problem)
-                edit(problem)  # the caller's own arrays, after the solve
+                # A second objective makes the memo keep phase 1.
+                lp.solve_lp(with_objective(problem, rng.normal(size=3)))
+                edit(problem)  # the caller's own arrays, after the solves
                 sol = lp.solve_lp(problem)
                 assert not sol.phase1_reused
                 copy = lp.LpProblem(
@@ -527,23 +553,29 @@ class TestPhase1Memo:
                 )
                 assert fingerprint(sol) == fingerprint(fresh_solve(copy))
 
-    def test_entry_count_and_size_cap(self, monkeypatch):
+    def test_least_recently_used_go_first_and_size_cap(self, monkeypatch):
         default_cap = lp._MEMO_MAX_ELEMENTS
         rng = np.random.default_rng(73)
         problems = [TestSolutionContracts._random_problem(rng) for _ in range(10)]
-        for problem in problems:
-            lp.solve_lp(problem)
-            assert len(lp._memo) <= lp._MEMO_ENTRIES
-        assert len(lp._memo) == lp._MEMO_ENTRIES
-        # The least recently used entries went first.  New objectives probe
-        # the phase-1 entries, which verbatim repeats would answer from the
-        # stored answers instead.
-        probes = [with_objective(p, rng.normal(size=p.n_vars)) for p in problems]
-        recent = probes[-lp._MEMO_ENTRIES:]
-        assert all(sol.phase1_reused and not sol.answer_reused for sol in map(lp.solve_lp, recent))
-        sol = lp.solve_lp(probes[0])
+        seconds = [with_objective(p, rng.normal(size=p.n_vars)) for p in problems]
+        thirds = [with_objective(p, rng.normal(size=p.n_vars)) for p in problems]
+        # A budget that holds a few of the ten constraint sets with their
+        # phase 1: the least recently used went first.
+        monkeypatch.setattr(lp, "_MEMO_BUDGET", 2_000)
+        for first, second in zip(problems, seconds):
+            lp.solve_lp(first)
+            lp.solve_lp(second)
+            assert entries_held() == lp._memo_held <= lp._MEMO_BUDGET
+        keys = [lp._memo_key(p) for p in problems]
+        kept = list(lp._memo)
+        assert 2 <= len(kept) < len(keys)
+        assert kept == keys[len(keys) - len(kept):]
+        assert all(start is not None for start, _, _ in lp._memo.values())
+        sol = lp.solve_lp(thirds[-1])
+        assert sol.phase1_reused and not sol.answer_reused
+        sol = lp.solve_lp(thirds[0])
         assert not sol.phase1_reused and not sol.answer_reused
-        assert all(held(entry) <= lp._MEMO_MAX_ELEMENTS for entry in lp._memo)
+        monkeypatch.setattr(lp, "_MEMO_BUDGET", 2**62)
         # With only "<=" rows, b >= 0 and lower bounds alone, the bound is
         # exact: 12 numbers of the key's A, 12 of the standard-form A and
         # 4 x 8 of a tableau with a slack on every row and no artificial.
@@ -553,8 +585,10 @@ class TestPhase1Memo:
             monkeypatch.setattr(lp, "_MEMO_MAX_ELEMENTS", cap)
             lp.clear_memo()
             lp.solve_lp(tight)
+            lp.solve_lp(with_objective(tight, [1.0, 1.0, 1.0, 1.0]))
             assert bool(lp._memo) == stored
-        assert held(lp._memo[0]) == 56
+        ((key, (start, _, _)),) = lp._memo.items()
+        assert phase1_held(key, start) == 56
         monkeypatch.setattr(lp, "_MEMO_MAX_ELEMENTS", default_cap)
         # The n = 20 W1 dual's tableau alone exceeds the cap: no key, no entry.
         rng = np.random.default_rng(3)
@@ -567,27 +601,31 @@ class TestPhase1Memo:
         monkeypatch.setattr(lp, "solve_lp", solve)
         (big,) = recorded
         assert lp._memo_key(big) is None
-        before = list(lp._memo)
-        assert not lp.solve_lp(big).phase1_reused
-        assert not lp.solve_lp(big).phase1_reused
-        assert lp._memo == before
-        # Lowered caps: an entry is stored only when it fits, and it always does.
+        before = list(lp._memo.items())
+        for problem in (big, big, with_objective(big, -big.objective)):
+            sol = lp.solve_lp(problem)
+            assert not sol.phase1_reused and not sol.answer_reused
+        assert list(lp._memo.items()) == before
+        # Lowered caps: phase 1 is stored only when it fits, and it always does.
         for cap in (0, 40, 120, 400, 2_000):
             monkeypatch.setattr(lp, "_MEMO_MAX_ELEMENTS", cap)
-            for problem in problems:
+            for problem, second in zip(problems, seconds):
                 lp.clear_memo()
                 lp.solve_lp(problem)
-                assert all(held(entry) <= cap for entry in lp._memo)
+                lp.solve_lp(second)
+                assert all(phase1_held(key, start) <= cap for key, (start, _, _) in lp._memo.items())
                 assert (lp._memo_key(problem) is None) == (not lp._memo)
 
-    def test_threads_share_no_mutable_state(self):
+    def test_threads_share_no_mutable_state(self, monkeypatch):
         # More threads than cores, switching often, all on a few constraint
-        # sets: a shared tableau or basis, or a lost update of the entry
-        # list, would change bits or break the bound.
+        # sets, under a budget that drops entries: a shared tableau or basis,
+        # or a lost update of the entries or their count, would change bits
+        # or break the budget.
         groups = shared_constraint_groups()
         problems = [p for group in groups[-2:] + groups[:3] + groups[80:82] for p in group]
         expected = [fingerprint(fresh_solve(p)) for p in problems]
         lp.clear_memo()
+        monkeypatch.setattr(lp, "_MEMO_BUDGET", 12_000)
         offsets = [0, 7, 13, 21] * 20
 
         def solve_all(offset):
@@ -595,11 +633,7 @@ class TestPhase1Memo:
             for problem in problems[offset:] + problems[:offset]:
                 sol = lp.solve_lp(problem)
                 with lp._memo_lock:
-                    keys = [key for key, _ in lp._memo]
-                    held = answers_held()
-                    assert held == lp._answers_held <= lp._MEMO_MAX_ELEMENTS
-                assert len(keys) <= lp._MEMO_ENTRIES
-                assert all(keys[i] != keys[j] for i in range(len(keys)) for j in range(i))
+                    assert entries_held() == lp._memo_held <= lp._MEMO_BUDGET
                 out.append((fingerprint(sol), sol.phase1_reused, sol.answer_reused))
             return out
 
@@ -615,6 +649,7 @@ class TestPhase1Memo:
             assert [f for f, _, _ in run] == expected[offset:] + expected[:offset]
         assert any(reused and not answered for run in runs for _, reused, answered in run)
         assert any(answered for run in runs for _, _, answered in run)
+        assert any(not reused for run in runs[1:] for _, reused, _ in run)
         counts = lp.memo_counts()
         assert counts["solves"] == len(offsets) * len(problems)
         assert counts["answer_reused"] == sum(answered for run in runs for _, _, answered in run)
@@ -679,7 +714,7 @@ class TestAnswerMemo:
         assert counts["answer_reused"] == 80 - len(seen)
         lp.clear_memo()
         assert lp.memo_counts() == {"solves": 0, "phase1_reused": 0, "answer_reused": 0}
-        assert not lp._answers and not lp._answer_A and lp._answers_held == 0
+        assert not lp._memo and lp._memo_held == 0
 
     def test_objective_one_ulp_or_zero_sign_away_misses(self):
         base = lp.LpProblem([1.0, 0.0, 2.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], [lp.LEQ, lp.GEQ],
@@ -692,6 +727,8 @@ class TestAnswerMemo:
         for objective in variants:
             lp.clear_memo()
             lp.solve_lp(base)
+            # A second objective makes the memo keep phase 1.
+            lp.solve_lp(with_objective(base, [0.5, 1.0, 1.0]))
             problem = with_objective(base, objective)
             assert problem.objective.tobytes() != base.objective.tobytes()
             sol = lp.solve_lp(problem)
@@ -727,7 +764,9 @@ class TestAnswerMemo:
                 problem = TestSolutionContracts._random_problem(rng, 3, 3)
                 lp.clear_memo()
                 lp.solve_lp(problem)
-                edit(problem)  # the caller's own arrays, after the solve
+                # A second objective makes the memo keep phase 1.
+                lp.solve_lp(with_objective(problem, rng.normal(size=3)))
+                edit(problem)  # the caller's own arrays, after the solves
                 sol = lp.solve_lp(problem)
                 assert not sol.answer_reused
                 assert sol.phase1_reused == (k == 0)
@@ -738,11 +777,14 @@ class TestAnswerMemo:
                 assert fingerprint(sol) == fingerprint(fresh_solve(copy))
 
     def test_budget_holds_and_least_recently_used_go_first(self, monkeypatch):
-        # A model of the policy: answers in use order, dropped oldest first
-        # until the recounted total fits the budget.  W1 primals of one size
-        # share their A, so they check the shared count as well.
+        # A model of the policy: entries in use order, each with the
+        # objectives solved on it, dropped oldest first until the recounted
+        # total fits the budget.  W1 primals of one size have equal A but
+        # entries of their own; second and third objectives add phase-1 results
+        # and hits.
         rng = np.random.default_rng(89)
         pool = [TestSolutionContracts._random_problem(rng) for _ in range(10)]
+        pool += [with_objective(p, rng.normal(size=p.n_vars)) for p in pool[:4] for _ in range(2)]
         space = suites.random_metric_space(rng, 5, "plane")
         recorded = []
         solve = lp.solve_lp
@@ -752,40 +794,42 @@ class TestAnswerMemo:
             transport.wasserstein_primal(mu1, mu2, space)
         monkeypatch.setattr(lp, "solve_lp", solve)
         pool += recorded
-        monkeypatch.setattr(lp, "_MEMO_MAX_ELEMENTS", 2_000)
+        monkeypatch.setattr(lp, "_MEMO_BUDGET", 2_500)
         lp.clear_memo()
-        own, order, hits, drops = {}, [], 0, 0
+        model, own, hits, phase1_hits, drops = {}, {}, 0, 0, 0
         for i in rng.integers(0, len(pool), size=300):
-            key = answer_key(pool[i])
-            hit = key in order
+            key, cost = lp._memo_key(pool[i]), pool[i].objective.tobytes()
+            costs = model.pop(key, set())
+            hit = cost in costs
             sol = lp.solve_lp(pool[i])
             assert sol.answer_reused == hit
+            assert sol.phase1_reused == (hit or len(costs) >= 2)
             hits += hit
-            if hit:
-                order.remove(key)
-            order.append(key)
-            own[key] = lp._answers[key][0]
-            held = answers_held()
-            assert held == lp._answers_held <= lp._MEMO_MAX_ELEMENTS
+            phase1_hits += sol.phase1_reused and not hit
+            model[key] = costs | {cost}
+            held = entries_held()
+            assert held == lp._memo_held <= lp._MEMO_BUDGET
             # The policy kept the most recently used suffix of the model's
             # order and stopped dropping as soon as the total fit.
-            kept = list(lp._answers)
+            kept = list(lp._memo)
+            order = list(model)
             assert kept == order[len(order) - len(kept):]
             if len(kept) < len(order):
                 drops += len(order) - len(kept)
                 last = order[len(order) - len(kept) - 1]
-                shared = any(k[1] == last[1] for k in kept)
-                assert held + own[last] + (0 if shared else len(last[1]) // 8) > lp._MEMO_MAX_ELEMENTS
-            order = kept
-        assert hits > 20 and drops > 20
-        # An answer that cannot fit the budget alone is not stored: without
-        # rows, its phase-1 entry holds 11 numbers and the answer 168.
-        monkeypatch.setattr(lp, "_MEMO_MAX_ELEMENTS", 100)
+                assert held + own[last] > lp._MEMO_BUDGET
+                for dropped in order[: len(order) - len(kept)]:
+                    del model[dropped]
+            own.update((k, entry[2]) for k, entry in lp._memo.items())
+        assert hits > 20 and phase1_hits > 5 and drops > 20
+        # An entry that cannot fit the budget alone is not kept: without
+        # rows, its key holds 20 numbers and its answer 148.
+        monkeypatch.setattr(lp, "_MEMO_BUDGET", 100)
         lp.clear_memo()
         big = lp.LpProblem(-np.ones(10), np.zeros((0, 10)), [], [], 0.0)
         assert lp._memo_key(big) is not None
         lp.solve_lp(big)
-        assert not lp._answers and lp._answers_held == 0
+        assert not lp._memo and lp._memo_held == 0
         assert not lp.solve_lp(big).answer_reused
 
 
@@ -1125,8 +1169,9 @@ class TestPivotLoop:
                 state["std"] = lp._standardize(problem)
                 state["c"] = state["std"].costs(problem.objective)[0]
                 sol = lp.solve_lp(problem)
-                # Two bound-only LPs of the family share their constraints, so
-                # one hit is expected; any more would be the other run's.
+                # Two bound-only LPs of the family share their constraints,
+                # and the memo keeps phase 1 from the second objective on,
+                # so no hit is expected; one would be the other run's.
                 solutions.append(fingerprint(sol) + (sol.phase1_reused,))
             return solutions, state["tableaux"], state["phase2"], state["largest"]
 
@@ -1136,7 +1181,7 @@ class TestPivotLoop:
             new = solve_all(new_parts, gate)
             assert new == solve_all(old_parts, gate)
         solutions, _, phase2, largest = new
-        assert sum(f[-1] for f in solutions) == 1
+        assert sum(f[-1] for f in solutions) == 0
         assert {f[0] for f in solutions} == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
         assert phase2 > len(loop_problems) // 2
         assert largest >= lp._BLOCK_MIN_SIZE

@@ -288,6 +288,13 @@ class TestPersistence:
             ({"reward": [[True], [0.0]]}, "reward: could not convert True to float"),
             ({"transition": [[["0.5", 0.5]], [[0.5, 0.5]]]}, "transition: could not convert '0.5' to float"),
             ({"transition": [[[0.5, 0.5]], [[False, True]]]}, "transition: could not convert False to float"),
+            # float() would read false as 0.0 and "0.5" as 0.5; the scalars are held to JSON numbers too.
+            ({"gamma": False}, "gamma: could not convert False to float"),
+            ({"gamma": "0.5"}, "gamma: could not convert '0.5' to float"),
+            ({"space": {"embedding": {"kind": "line", "coords": ["0", True, 2]}}}, "space: could not convert '0'"),
+            ({"space": {"embedding": {"kind": "line", "coords": [0, True]}}}, "space: could not convert True"),
+            ({"space": {"dist": [["0", 1], [1, 0]]}}, "space: could not convert '0' to float"),
+            ({"space": {"n": "2", "dist": [[0, 1], [1, 0]]}}, "space: could not convert '2' to float"),
         ],
     )
     def test_model_rules_come_from_finite_mdp(self, tmp_path, fields, message):
