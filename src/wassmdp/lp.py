@@ -51,23 +51,23 @@ Standardization, the tableau build and phase 1 read only the constraint
 data, never the objective, and a basis that phase 1 finds stays feasible
 for any cost vector.  A module-level memo keeps one entry per constraint
 set, keyed by the exact bytes of ``A`` (with its shape), ``relations``,
-``rhs``, ``lower`` and ``upper``, with the certified answer of each
-objective solved on it, keyed by the objective's bytes.  A dict hit still
-compares bytes, so one ulp or a -0.0 for +0.0 misses.  A byte-identical
-repeat, such as each cell a finite-difference bump leaves unchanged, gets
-the stored answer back without solving; the solver is deterministic, so
-a fresh solve would return the same bits.  Once a constraint set comes
-back with a second objective, its entry also keeps the standard form and
-the tableau, basis, kept rows and pivot count after phase 1 (or the
-"infeasible" verdict).  Later objectives price into a copy of that
-tableau and run phase 2, the refactorization and the certificate as a
-miss does, from the bits a fresh phase 1 would give.  A constraint set
-seen with one objective, such as a W1 primal, copies no tableau.  An LP
-whose phase-1 result could exceed ``_MEMO_MAX_ELEMENTS`` numbers (1 MiB)
-is not keyed, and all entries hold at most ``_MEMO_BUDGET`` numbers
-(2 MiB), least recently used out first.  Stored arrays are read-only,
-each solve works on its own copies, and a lock guards the entries, so
-threads may solve concurrently.
+``rhs``, ``lower`` and ``upper``, holding the certified answer of each
+objective solved on it, keyed by the objective's bytes; one ulp or a
+-0.0 for +0.0 misses.  A byte-identical repeat, such as each cell a
+finite-difference bump leaves unchanged, gets the stored answer back,
+the bits a fresh solve of the deterministic solver would return.  Once
+a constraint set comes back with a second objective, its entry also
+keeps the standard form and the tableau, basis, kept rows and pivot
+count after phase 1 (or the "infeasible" verdict), and later objectives
+run phase 2, the refactorization and the certificate from a copy of it.
+A W1 primal, seen with one objective, copies no tableau, and the primals
+of one size share one copy of their ``A``.  An LP whose phase-1 result
+could exceed ``_MEMO_MAX_ELEMENTS`` numbers (1 MiB) is not keyed; all
+entries hold at most ``_MEMO_BUDGET`` numbers (2 MiB), least recently
+used out first, but an entry alone over it, such as the dual constraint
+set of a long VAML fit, sheds its oldest answers and keeps its phase 1.
+Stored arrays are read-only, each solve works on its own copies, and a
+lock guards the entries, so threads may solve concurrently.
 """
 
 from __future__ import annotations
@@ -178,16 +178,11 @@ class LpSolution:
     ``dual_objective_value`` is their independently re-factorized price-out
     of the optimum, which must agree with ``objective_value``.  ``pivots``
     counts the simplex pivots of phase 1 (artificial drive-out included)
-    and of phase 2.  ``phase1_reused`` is true when the phase-1 result came
-    from the memo, keyed by the exact bytes of the constraint data; phase 1
-    was then not run again, ``pivots`` still reports the phase-1 count of
-    the basis used, and every other field has the bits a fresh solve gives.
-    ``answer_reused`` is true when the whole answer came from the memo,
-    keyed by the exact bytes of the constraint data and the objective.  It
-    is the stored answer of an earlier certified solve, which the
-    deterministic solver would repeat bit for bit, and ``phase1_reused``
-    is true as well.  ``x`` and ``duals`` are the caller's own writable
-    arrays either way.
+    and of phase 2.  ``phase1_reused`` is true when phase 1 came from the
+    memo (``pivots`` still reports its count), and ``answer_reused``, which
+    implies it, when the whole answer did, stored by an earlier certified
+    solve.  Every field has the bits a fresh solve gives either way, and
+    ``x`` and ``duals`` are the caller's own writable arrays.
     """
 
     status: str
@@ -385,9 +380,11 @@ class _Phase1:
 
 
 # Constraint key -> [read-only _Phase1 or None, {objective bytes: answer with
-# read-only arrays}, numbers held], least recently used first; and the
-# numbers all entries hold together.
+# read-only arrays}, numbers held besides A], least recently used first, each
+# dict in use order too; the bytes of A -> [the copy keys share, how many keys
+# do]; and the numbers all entries hold together, each shared A counted once.
 _memo: collections.OrderedDict = collections.OrderedDict()
+_memo_A: dict = {}
 _memo_held = 0
 _counts = {"solves": 0, "phase1_reused": 0, "answer_reused": 0}
 _memo_lock = threading.Lock()
@@ -399,6 +396,7 @@ def clear_memo():
     global _memo_held
     with _memo_lock:
         _memo.clear()
+        _memo_A.clear()
         _memo_held = 0
         _counts.update(dict.fromkeys(_counts, 0))
 
@@ -425,14 +423,8 @@ def _memo_key(problem):
     k = 2 * nv - int(np.count_nonzero(has_lo | has_hi))
     if m0 * nv + m * k + (m + 1) * (k + m + 1) > _MEMO_MAX_ELEMENTS:
         return None
-    return (
-        problem.A.shape,
-        problem.A.tobytes(),
-        problem.relations.tobytes(),
-        problem.rhs.tobytes(),
-        problem.lower.tobytes(),
-        problem.upper.tobytes(),
-    )
+    parts = (problem.A, problem.relations, problem.rhs, problem.lower, problem.upper)
+    return (problem.A.shape,) + tuple(a.tobytes() for a in parts)
 
 
 def _memo_lookup(key, cost):
@@ -452,9 +444,11 @@ def _memo_lookup(key, cost):
             return None, None, False
         _memo.move_to_end(key)
         start, answers, _ = entry
-        answer = answers.get(cost)
+        answer = answers.pop(cost, None)
         if answer is None and start is None:
             return None, None, True
+        if answer is not None:
+            answers[cost] = answer  # now the most recently used
         _counts["phase1_reused"] += 1
         _counts["answer_reused"] += answer is not None
         return answer, start, False
@@ -463,13 +457,14 @@ def _memo_lookup(key, cost):
 def _memo_store(key, cost, sol, start):
     """File a read-only copy of ``sol`` under ``cost`` in ``key``'s entry, and
     ``start``, a phase-1 result phase 2 no longer writes, unless it is None
-    or the entry has one.  An entry counts its key's numbers, its arrays'
-    and ``_ANSWER_OVERHEAD`` per answer; the least recently used go first
-    until all hold at most ``_MEMO_BUDGET`` numbers.
+    or the entry has one.  An entry counts its key but A, which entries of
+    equal A share and count once, and its arrays and answers.  Until all
+    hold at most ``_MEMO_BUDGET`` numbers the least recently used entry
+    goes, but the entry in use, left alone, drops its oldest answers and
+    keeps its phase 1 and newest answer.
     """
     global _memo_held
-    x, duals = (None if a is None else a.copy() for a in (sol.x, sol.duals))
-    answer = dataclasses.replace(sol, x=x, duals=duals, phase1_reused=True, answer_reused=True)
+    answer = _with_copies(sol, phase1_reused=True, answer_reused=True)
     answer_arrays = _arrays(answer)
     start_arrays = [] if start is None else _arrays(start.std) + _arrays(start)
     for a in answer_arrays + start_arrays:
@@ -477,21 +472,48 @@ def _memo_store(key, cost, sol, start):
     with _memo_lock:
         entry = _memo.get(key)
         if entry is None:
-            entry = _memo[key] = [None, {}, sum(len(part) for part in key[1:]) // 8]
-            _memo_held += entry[2]
+            shared = _memo_A.setdefault(key[1], [key[1], 0])
+            shared[1] += 1
+            key = (key[0], shared[0]) + key[2:]
+            entry = _memo[key] = [None, {}, sum(len(part) for part in key[2:]) // 8]
+            _memo_held += entry[2] + (len(key[1]) // 8 if shared[1] == 1 else 0)
         _memo.move_to_end(key)
         added = 0
         if cost not in entry[1]:
             entry[1][cost] = answer
-            added += _ANSWER_OVERHEAD + len(cost) // 8 + sum(a.size for a in answer_arrays)
+            added += _answer_size(cost, answer)
         if start is not None and entry[0] is None:
             entry[0] = start
             added += sum(a.size for a in start_arrays)
         entry[2] += added
         _memo_held += added
         while _memo_held > _MEMO_BUDGET:
-            _, (_, _, dropped) = _memo.popitem(last=False)
-            _memo_held -= dropped
+            oldest, entry = next(iter(_memo.items()))
+            if len(_memo) == 1 and len(entry[1]) > 1:
+                dropped = next(iter(entry[1]))
+                size = _answer_size(dropped, entry[1].pop(dropped))
+                entry[2] -= size
+                _memo_held -= size
+                continue
+            del _memo[oldest]
+            _memo_held -= entry[2]
+            shared = _memo_A[oldest[1]]
+            shared[1] -= 1
+            if not shared[1]:
+                del _memo_A[oldest[1]]
+                _memo_held -= len(oldest[1]) // 8
+
+
+def _answer_size(cost, answer):
+    """The numbers one stored answer counts: its arrays, its objective's
+    bytes and ``_ANSWER_OVERHEAD`` for its Python objects."""
+    return _ANSWER_OVERHEAD + len(cost) // 8 + sum(a.size for a in _arrays(answer))
+
+
+def _with_copies(sol, **changes):
+    """``sol`` with fresh copies of x and the duals, and ``changes`` applied."""
+    x, duals = (None if a is None else a.copy() for a in (sol.x, sol.duals))
+    return dataclasses.replace(sol, x=x, duals=duals, **changes)
 
 
 def _arrays(record):
@@ -581,8 +603,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     cost = problem.objective.tobytes()
     answer, start, keep = _memo_lookup(key, cost)
     if answer is not None:
-        x, duals = (None if a is None else a.copy() for a in (answer.x, answer.duals))
-        return dataclasses.replace(answer, x=x, duals=duals)
+        return _with_copies(answer)
     sol, stored = _solve(problem, start, keep)
     if key is not None:
         _memo_store(key, cost, sol, stored)

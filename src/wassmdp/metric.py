@@ -184,13 +184,9 @@ def space_from_json(obj) -> MetricSpace:
         if not isinstance(emb, dict) or "kind" not in emb or "coords" not in emb:
             raise MetricError("embedding needs 'kind' and 'coords' fields")
         kind = emb["kind"]
-        if kind == "line":
-            return MetricSpace.line(_number_array(emb["coords"]), labels)
-        if kind == "circle":
-            return MetricSpace.circle(_number_array(emb["coords"]), labels)
-        if kind == "grid2d":
-            return MetricSpace.grid2d(_number_array(emb["coords"]), labels)
-        raise MetricError(f"unknown embedding kind {kind!r}")
+        if kind not in ("line", "circle", "grid2d"):
+            raise MetricError(f"unknown embedding kind {kind!r}")
+        return getattr(MetricSpace, kind)(_number_array(emb["coords"]), labels)
     if "dist" not in obj:
         raise MetricError("metric space needs either 'dist' or 'embedding'")
     space = MetricSpace.from_matrix(_number_array(obj["dist"]), labels)

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import hashlib
 import itertools
@@ -410,27 +411,35 @@ def memo_arrays():
     return arrays
 
 
+def answer_held(cost, sol):
+    """Numbers one stored answer counts: its arrays, its objective's bytes
+    and ``_ANSWER_OVERHEAD`` for its objects."""
+    return lp._ANSWER_OVERHEAD + len(cost) // 8 + sum(a.size for a in (sol.x, sol.duals) if a is not None)
+
+
 def entries_held():
     """The numbers the memo holds, recounted from its keys and arrays.
 
-    Each entry counts its key's bytes, every array of its phase-1 result
-    and of its answers, and per answer its objective's bytes and
-    ``_ANSWER_OVERHEAD`` for its objects; each entry's own count must agree.
+    Each entry counts its key's bytes but A's, every array of its phase-1
+    result and its answers; each entry's own count must agree.  Keys whose
+    A has the same bytes share one copy of them, counted once, and
+    ``_memo_A`` counts the keys that share each.
     """
     total = 0
     for key, (start, answers, held) in lp._memo.items():
-        own = sum(len(part) for part in key[1:]) // 8
+        own = sum(len(part) for part in key[2:]) // 8
         if start is not None:
             std = start.std
             parts = (std.A, std.b, std.sense, std.src, std.signs, std.q, std.first, std.split)
             parts += (start.slack_rows, start.tab, start.basis, start.kept)
             own += sum(a.size for a in parts if a is not None)
-        for cost, sol in answers.items():
-            own += lp._ANSWER_OVERHEAD + len(cost) // 8
-            own += sum(a.size for a in (sol.x, sol.duals) if a is not None)
+        own += sum(answer_held(cost, sol) for cost, sol in answers.items())
         assert held == own
+        assert lp._memo_A[key[1]][0] is key[1]
         total += own
-    return total
+    users = collections.Counter(key[1] for key in lp._memo)
+    assert {a: count for a, (_, count) in lp._memo_A.items()} == users
+    return total + sum(len(a) // 8 for a in users)
 
 
 def phase1_held(key, start):
@@ -777,11 +786,11 @@ class TestAnswerMemo:
                 assert fingerprint(sol) == fingerprint(fresh_solve(copy))
 
     def test_budget_holds_and_least_recently_used_go_first(self, monkeypatch):
-        # A model of the policy: entries in use order, each with the
-        # objectives solved on it, dropped oldest first until the recounted
-        # total fits the budget.  W1 primals of one size have equal A but
-        # entries of their own; second and third objectives add phase-1 results
-        # and hits.
+        # A model of the policy: entries in use order, each with its
+        # objectives in use order, dropped oldest first until the recounted
+        # total fits the budget.  W1 primals of one size have equal A and
+        # entries of their own that share one copy of it; second and third
+        # objectives add phase-1 results and hits.
         rng = np.random.default_rng(89)
         pool = [TestSolutionContracts._random_problem(rng) for _ in range(10)]
         pool += [with_objective(p, rng.normal(size=p.n_vars)) for p in pool[:4] for _ in range(2)]
@@ -796,32 +805,44 @@ class TestAnswerMemo:
         pool += recorded
         monkeypatch.setattr(lp, "_MEMO_BUDGET", 2_500)
         lp.clear_memo()
-        model, own, hits, phase1_hits, drops = {}, {}, 0, 0, 0
+        model, phased, own, hits, phase1_hits, drops, shared_drops = {}, set(), {}, 0, 0, 0, 0
         for i in rng.integers(0, len(pool), size=300):
             key, cost = lp._memo_key(pool[i]), pool[i].objective.tobytes()
-            costs = model.pop(key, set())
-            hit = cost in costs
+            costs = model.pop(key, None)
+            hit = costs is not None and cost in costs
             sol = lp.solve_lp(pool[i])
             assert sol.answer_reused == hit
-            assert sol.phase1_reused == (hit or len(costs) >= 2)
+            assert sol.phase1_reused == (hit or key in phased)
             hits += hit
             phase1_hits += sol.phase1_reused and not hit
-            model[key] = costs | {cost}
+            if costs is not None and not hit:
+                phased.add(key)
+            model[key] = [c for c in costs or [] if c != cost] + [cost]
             held = entries_held()
             assert held == lp._memo_held <= lp._MEMO_BUDGET
             # The policy kept the most recently used suffix of the model's
-            # order and stopped dropping as soon as the total fit.
+            # order with every answer, and stopped dropping as soon as the
+            # total fit: the last entry dropped, with its A if no kept key
+            # shares it, would not have fit.
             kept = list(lp._memo)
             order = list(model)
             assert kept == order[len(order) - len(kept):]
+            assert all(list(entry[1]) == model[k] for k, entry in lp._memo.items())
             if len(kept) < len(order):
-                drops += len(order) - len(kept)
-                last = order[len(order) - len(kept) - 1]
-                assert held + own[last] > lp._MEMO_BUDGET
-                for dropped in order[: len(order) - len(kept)]:
-                    del model[dropped]
+                dropped = order[: len(order) - len(kept)]
+                last = dropped[-1]
+                freed = own[last]
+                if all(k[1] != last[1] for k in kept):
+                    freed += len(last[1]) // 8
+                else:
+                    shared_drops += 1
+                assert held + freed > lp._MEMO_BUDGET
+                drops += len(dropped)
+                for k in dropped:
+                    del model[k]
+                    phased.discard(k)
             own.update((k, entry[2]) for k, entry in lp._memo.items())
-        assert hits > 20 and phase1_hits > 5 and drops > 20
+        assert hits > 20 and phase1_hits > 5 and drops > 20 and shared_drops > 5
         # An entry that cannot fit the budget alone is not kept: without
         # rows, its key holds 20 numbers and its answer 148.
         monkeypatch.setattr(lp, "_MEMO_BUDGET", 100)
@@ -831,6 +852,79 @@ class TestAnswerMemo:
         lp.solve_lp(big)
         assert not lp._memo and lp._memo_held == 0
         assert not lp.solve_lp(big).answer_reused
+
+
+    def test_entry_alone_over_budget_sheds_its_oldest_answers(self, monkeypatch):
+        # The W1 duals of one space share one constraint set, as the VAML
+        # duals of a long fit do.  Once that entry alone passes the budget,
+        # its least recently used answers go one at a time; its phase 1 and
+        # its newer answers stay.
+        rng = np.random.default_rng(97)
+        space = suites.random_metric_space(rng, 5, "plane")
+        recorded = []
+        solve = lp.solve_lp
+        monkeypatch.setattr(lp, "solve_lp", lambda p: recorded.append(p) or solve(p))
+        mu1, mu2 = suites.random_distribution(rng, 5), suites.random_distribution(rng, 5)
+        transport.wasserstein_primal(mu1, mu2, space)
+        for _ in range(30):
+            mu1, mu2 = suites.random_distribution(rng, 5), suites.random_distribution(rng, 5)
+            transport.wasserstein_dual(mu1, mu2, space, 1.0)
+        monkeypatch.setattr(lp, "solve_lp", solve)
+        primal, duals = recorded[0], recorded[1:]
+        key = lp._memo_key(duals[0])
+        assert all(lp._memo_key(d) == key for d in duals)
+        expected = {d.objective.tobytes(): fingerprint(fresh_solve(d)) for d in duals}
+        monkeypatch.setattr(lp, "_MEMO_BUDGET", 1_500)
+        lp.clear_memo()
+        lp.solve_lp(primal)
+        costs = []
+        for dual in duals:
+            sol = lp.solve_lp(dual)
+            assert sol.phase1_reused == (len(costs) >= 2)
+            costs.append(dual.objective.tobytes())
+            assert entries_held() == lp._memo_held <= lp._MEMO_BUDGET
+        # The primal entry went first; the dual entry kept its phase 1 and
+        # the newest answers, and one more would not have fit.
+        ((stored, (start, answers, _)),) = lp._memo.items()
+        assert stored == key and start is not None and start.tab is not None
+        kept = list(answers)
+        assert 4 <= len(kept) < len(costs) - 2 and kept == costs[len(costs) - len(kept):]
+        shed = duals[len(costs) - len(kept) - 1]
+        held = lp._memo_held
+        assert held + answer_held(shed.objective.tobytes(), lp.solve_lp(shed)) > lp._MEMO_BUDGET
+        # That solve reused phase 1 and shed the oldest answer for its own.
+        assert list(lp._memo[key][1]) == kept[1:] + [costs[len(costs) - len(kept) - 1]]
+        # A hit makes an answer the most recently used: two misses then
+        # shed the two answers after it.
+        refreshed = duals[costs.index(kept[1])]
+        assert lp.solve_lp(refreshed).answer_reused
+        misses = [d for d in duals if d.objective.tobytes() not in lp._memo[key][1]][:2]
+        for dual in misses:
+            sol = lp.solve_lp(dual)
+            assert sol.phase1_reused and not sol.answer_reused
+            assert fingerprint(sol) == expected[dual.objective.tobytes()]
+        answers = list(lp._memo[key][1])
+        assert answers[-3:] == [kept[1]] + [d.objective.tobytes() for d in misses]
+        assert kept[2] not in answers and kept[3] not in answers
+        assert entries_held() == lp._memo_held <= lp._MEMO_BUDGET
+
+    def test_w1_primals_of_one_size_share_one_copy_of_A(self, monkeypatch):
+        # 400 distinct n = 6 primals, each about 310 numbers besides their
+        # common A of 432, fit the default budget only because A is counted
+        # once: a second cyclic sweep answers every one from the memo.
+        rng = np.random.default_rng(101)
+        space = suites.random_metric_space(rng, 6, "plane")
+        recorded = []
+        solve = lp.solve_lp
+        monkeypatch.setattr(lp, "solve_lp", lambda p: recorded.append(p) or solve(p))
+        for _ in range(400):
+            mu1, mu2 = suites.random_distribution(rng, 6), suites.random_distribution(rng, 6)
+            transport.wasserstein_primal(mu1, mu2, space)
+        monkeypatch.setattr(lp, "solve_lp", solve)
+        assert len(lp._memo) == 400 and len(lp._memo_A) == 1
+        assert 399 * len(recorded[0].A.tobytes()) // 8 + entries_held() > lp._MEMO_BUDGET
+        assert entries_held() == lp._memo_held <= lp._MEMO_BUDGET
+        assert all(lp.solve_lp(p).answer_reused for p in recorded)
 
 
 class TestBlockPivot:
