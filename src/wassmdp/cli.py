@@ -123,8 +123,10 @@ def _jsonable(obj):
 
 def _out_dir(value) -> str:
     """The ``out`` setting as a directory the report can go to, checked before any
-    work: the path, or else its nearest existing parent, must be a directory."""
+    work: a nonempty path that is, or whose nearest existing parent is, a directory."""
     out = _cast("out", str, value)
+    if not out:
+        raise ConfigError("out: must not be empty")
     head = out
     while head and not os.path.lexists(head):
         head = os.path.dirname(head)
@@ -143,7 +145,7 @@ def _write_report(out_dir, name, body) -> str:
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "lp_memo": lp.memo_counts(),
     }
-    with open(path.replace(".json", ".meta.json"), "w") as fh:
+    with open(os.path.join(out_dir, name.replace(".json", ".meta.json")), "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
     return path
@@ -282,15 +284,15 @@ def _cmd_gen_mdp(args) -> int:
     _apply_flags(config, args, ("states", "actions", "gamma", "smoothing", "seed", "out"))
     _check_keys(config, (*_GENERATOR_SETTINGS, "out"), "gen-mdp")
     out = _cast("out", str, config.pop("out", "mdp.json"))
-    parent = _out_dir(os.path.dirname(out))
-    if os.path.isdir(out):
+    # A bare file name goes to the working directory; an empty ``out`` is refused.
+    parent = _out_dir(os.path.dirname(out) or (out and "."))
+    if os.path.isdir(out) or not os.path.basename(out):
         raise ConfigError(f"out: {out} is a directory, not a file")
     try:
         mdp = _generate(**_read(config, _GENERATOR_SETTINGS))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    os.makedirs(parent, exist_ok=True)
     save_mdp(mdp, out)
     print(
         f"gen-mdp: wrote {out} "

@@ -5,6 +5,8 @@ descent on a KL, Wasserstein, or value-aware objective, then measures
 how much planning with the learned model costs in the true MDP.  The
 LP-valued losses have no convenient gradients, so those are driven by
 central finite differences; the fit is deterministic in the seed.
+Every loss it reports, trains on or aggregates comes from one array of
+cell losses; a VAML cell's is ``vaml.cell_loss``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import numpy as np
 
 from .mdp import FiniteMdp, kernel_lipschitz, reward_lipschitz
 from .planner import MAX, evaluate_policy, greedy_policy, gvi
-from .transport import Distribution, SupportViolationError, kl_divergence, wasserstein_dual, wasserstein_primal
-from .vaml import value_lipschitz_bound
+from .transport import Distribution, SupportViolationError, kl_divergence, wasserstein_primal
+from .vaml import cell_loss, value_lipschitz_bound
 
 _LOSS_KINDS = ("kl", "wasserstein", "vaml")
 
@@ -156,12 +158,8 @@ def _resolve_c(mdp, kind) -> float | None:
     return value_lipschitz_bound(mdp).c
 
 
-def _true_rows(mdp):
-    """The true next-state Distributions, [s][a]; a fit builds them once."""
-    return [[mdp.transition_dist(s, a) for a in range(mdp.n_actions)] for s in range(mdp.n_states)]
-
-
-def _pair_loss(mdp, kind, c, t_dist, m_row) -> float:
+def _pair_loss(mdp, kind, c, s, a, m_row) -> float:
+    t_dist = mdp.transition_dist(s, a)
     if kind.kind == "kl":
         try:
             return kl_divergence(t_dist, Distribution(m_row))
@@ -172,19 +170,21 @@ def _pair_loss(mdp, kind, c, t_dist, m_row) -> float:
     if kind.kind == "wasserstein":
         w, _ = wasserstein_primal(t_dist, Distribution(m_row), mdp.space)
         return w
-    if c == 0.0:
-        return 0.0
-    value, _ = wasserstein_dual(t_dist, Distribution(m_row), mdp.space, c)
-    return float(value * value)
+    return cell_loss(t_dist, m_row, mdp.space, c)[0]
 
 
-def _mean_loss(mdp, kind, c, that, rows) -> float:
+def _cell_losses(mdp, kind, c, that) -> np.ndarray:
+    """The loss of every (s, a) cell, indexed [s, a]."""
     n, m = mdp.n_states, mdp.n_actions
+    return np.array([[_pair_loss(mdp, kind, c, s, a, that[s, a]) for a in range(m)] for s in range(n)])
+
+
+def _mean(cells) -> float:
+    # One addition at a time in row order fixes the reported bits; np.sum adds pairwise.
     total = 0.0
-    for s in range(n):
-        for a in range(m):
-            total += _pair_loss(mdp, kind, c, rows[s][a], that[s, a])
-    return total / (n * m)
+    for v in cells.ravel().tolist():
+        total += v
+    return total / cells.size
 
 
 def aggregate_loss(mdp: FiniteMdp, model, kind: LossKind) -> float:
@@ -193,8 +193,7 @@ def aggregate_loss(mdp: FiniteMdp, model, kind: LossKind) -> float:
         that = model.transition_tensor()
     else:
         that = np.asarray(model, dtype=float)
-    c = _resolve_c(mdp, kind)
-    return _mean_loss(mdp, kind, c, that, _true_rows(mdp))
+    return _mean(_cell_losses(mdp, kind, _resolve_c(mdp, kind), that))
 
 
 @dataclass(frozen=True)
@@ -266,13 +265,14 @@ class TrainReport:
                 writer.writerow([i, float(v)])
 
 
-def _summed_loss(mdp, kind, c, model, rows) -> float:
+def _summed_loss(mdp, kind, c, model) -> float:
     that = model.transition_tensor()
     if not np.isfinite(that).all():
         # Non-finite logits give NaN rows, which no loss takes: a NaN loss
         # makes the fit report divergence or halve its step.
         return np.nan
-    return _mean_loss(mdp, kind, c, that, rows) * (mdp.n_states * mdp.n_actions)
+    cells = _cell_losses(mdp, kind, c, that)
+    return _mean(cells) * cells.size  # not the bare total: the line search's bits depend on it
 
 
 def _kl_gradient_full(mdp, model) -> np.ndarray:
@@ -280,7 +280,7 @@ def _kl_gradient_full(mdp, model) -> np.ndarray:
     return model.transition_tensor() - mdp.transition
 
 
-def _fd_gradient_full(mdp, kind, c, model, rows) -> np.ndarray:
+def _fd_gradient_full(mdp, kind, c, model) -> np.ndarray:
     # A logit only moves its own (s, a) row, so central differences of the
     # summed loss reduce to differences of single cells.
     logits = model.logits
@@ -291,32 +291,32 @@ def _fd_gradient_full(mdp, kind, c, model, rows) -> np.ndarray:
             for j in range(n):
                 z = logits[s, a].copy()
                 z[j] += _FD_EPSILON
-                hi = _pair_loss(mdp, kind, c, rows[s][a], _softmax(z))
+                hi = _pair_loss(mdp, kind, c, s, a, _softmax(z))
                 z[j] -= 2.0 * _FD_EPSILON
-                lo = _pair_loss(mdp, kind, c, rows[s][a], _softmax(z))
+                lo = _pair_loss(mdp, kind, c, s, a, _softmax(z))
                 grad[s, a, j] = (hi - lo) / (2.0 * _FD_EPSILON)
     return grad
 
 
-def _fd_gradient_flat(mdp, kind, c, model, rows) -> np.ndarray:
+def _fd_gradient_flat(mdp, kind, c, model) -> np.ndarray:
     vec = model.flat()
     grad = np.zeros_like(vec)
     for j in range(vec.size):
         bump = vec.copy()
         bump[j] += _FD_EPSILON
-        hi = _summed_loss(mdp, kind, c, model.with_flat(bump), rows)
+        hi = _summed_loss(mdp, kind, c, model.with_flat(bump))
         bump[j] -= 2.0 * _FD_EPSILON
-        lo = _summed_loss(mdp, kind, c, model.with_flat(bump), rows)
+        lo = _summed_loss(mdp, kind, c, model.with_flat(bump))
         grad[j] = (hi - lo) / (2.0 * _FD_EPSILON)
     return grad
 
 
-def _gradient(mdp, kind, c, model, rows) -> np.ndarray:
+def _gradient(mdp, kind, c, model) -> np.ndarray:
     if isinstance(model, ModelParams):
         if kind.kind == "kl":
             return _kl_gradient_full(mdp, model).ravel()
-        return _fd_gradient_full(mdp, kind, c, model, rows).ravel()
-    return _fd_gradient_flat(mdp, kind, c, model, rows)
+        return _fd_gradient_full(mdp, kind, c, model).ravel()
+    return _fd_gradient_flat(mdp, kind, c, model)
 
 
 def _planning_gap(mdp, that) -> float:
@@ -358,9 +358,8 @@ def fit_model(
         )
     c = _resolve_c(mdp, kind)
     cells = n * m
-    rows = _true_rows(mdp)
 
-    loss = _summed_loss(mdp, kind, c, model, rows)
+    loss = _summed_loss(mdp, kind, c, model)
     if not np.isfinite(loss):
         raise TrainingDivergedError(0)
     curve = [loss / cells]
@@ -368,7 +367,7 @@ def fit_model(
     stopped_early = False
     iterations = 0
     for it in range(1, config.iters + 1):
-        grad = _gradient(mdp, kind, c, model, rows)
+        grad = _gradient(mdp, kind, c, model)
         if not np.all(np.isfinite(grad)):
             raise TrainingDivergedError(it)
         vec = model.flat()
@@ -376,7 +375,7 @@ def fit_model(
         accepted = None
         for _ in range(40):
             candidate = model.with_flat(vec - step * grad)
-            cand_loss = _summed_loss(mdp, kind, c, candidate, rows)
+            cand_loss = _summed_loss(mdp, kind, c, candidate)
             if np.isfinite(cand_loss) and cand_loss <= loss + 1e-12:
                 accepted = (candidate, cand_loss)
                 break
@@ -393,18 +392,12 @@ def fit_model(
         snapshots.append((iterations, model))
 
     that = model.transition_tensor()
-    per_cell = np.array(
-        [
-            [_pair_loss(mdp, kind, c, rows[s][a], that[s, a]) for a in range(m)]
-            for s in range(n)
-        ]
-    )
     return TrainReport(
         kind=kind,
         config=config,
         loss_curve=np.asarray(curve),
         final_model=model,
-        per_cell_losses=per_cell,
+        per_cell_losses=_cell_losses(mdp, kind, c, that),
         planning_gap=_planning_gap(mdp, that),
         snapshots=tuple(snapshots),
         iterations_run=iterations,

@@ -6,6 +6,7 @@ on next-state distributions).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 
@@ -86,8 +87,13 @@ class FiniteMdp:
     def n_actions(self) -> int:
         return self.reward.shape[1]
 
+    @functools.cached_property
+    def _transition_dists(self) -> tuple:
+        return tuple(tuple(map(Distribution, rows)) for rows in self.transition)
+
     def transition_dist(self, s: int, a: int) -> Distribution:
-        return Distribution(self.transition[s, a])
+        """The row ``transition[s, a]`` as a Distribution, built once per MDP."""
+        return self._transition_dists[s][a]
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,7 @@ def kernel_lipschitz(mdp: FiniteMdp) -> KernelLipschitzReport:
     n, m = mdp.n_states, mdp.n_actions
     if n == 1:
         return KernelLipschitzReport(0.0, None)
-    dists = [[mdp.transition_dist(s, a) for a in range(m)] for s in range(n)]
+    row_dist = mdp.transition_dist
     cache: dict = {}
     best = -1.0
     witness = None
@@ -133,7 +139,7 @@ def kernel_lipschitz(mdp: FiniteMdp) -> KernelLipschitzReport:
                     key = (k1, k2) if k1 <= k2 else (k2, k1)
                     w = cache.get(key)
                     if w is None:
-                        w, _ = wasserstein_primal(dists[s1][a], dists[s2][a], mdp.space)
+                        w, _ = wasserstein_primal(row_dist(s1, a), row_dist(s2, a), mdp.space)
                         cache[key] = w
                 ratio = w / mdp.space.dist[s1, s2]
                 if ratio > best:

@@ -15,10 +15,10 @@ import numpy as np
 
 from .mdp import FiniteMdp, generate_lipschitz_mdp
 from .metric import MetricSpace, lipschitz_constant, uniform_lipschitz_constant
-from .planner import MAX, MEAN, BackupOperator, apply_operator, eps_greedy, gvi, mellowmax, operator_spec
+from .planner import MAX, MEAN, BackupOperator, apply_operator, eps_greedy, mellowmax, operator_spec
 from .planner import check_gvi_settings
 from .transport import Distribution, wasserstein_dual, wasserstein_primal
-from .vaml import holder_pinsker_bounds, value_lipschitz_bound, verify_equivalence
+from .vaml import holder_pinsker_bounds, value_lipschitz_bound, verify_equivalence, verify_value_lipschitz
 
 
 def cell_rng(seed: int, index: int) -> np.random.Generator:
@@ -241,7 +241,6 @@ def theorem_suite(
         if mdp.gamma * kw >= 1.0:
             skipped.append({**params, "reason": "gamma * K_W >= 1", "gamma_kw": mdp.gamma * kw})
             continue
-        bound = kr / (1.0 - mdp.gamma * kw)
         for op in operators:
             prev = 0.0
 
@@ -255,9 +254,8 @@ def theorem_suite(
                     recursion_min_slack = min(recursion_min_slack, allowed - kq)
                 prev = kq
 
-            result = gvi(mdp, op, delta=delta, on_sweep=on_sweep)
-            kq = uniform_lipschitz_constant(result.q.q.T, mdp.space).constant
-            kv = lipschitz_constant(result.v, mdp.space).constant
+            check = verify_value_lipschitz(mdp, op, delta, on_sweep)
+            kq, kv, bound = check.measured_kq, check.measured_kv, check.bound
             viol = (max(kq, kv) - bound) / (1.0 + bound)
             if viol > max_violation:
                 max_violation = viol

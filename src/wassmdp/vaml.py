@@ -96,28 +96,29 @@ def holder_pinsker_bounds(mdp: FiniteMdp, that, v, s: int, a: int) -> HolderPins
     v_inf = float(np.abs(values).max())
     l1 = float(mdp.gamma * np.abs(row_true - row_model).sum() * v_inf)
     try:
-        kl = kl_divergence(Distribution(row_true), Distribution(row_model))
+        kl = kl_divergence(mdp.transition_dist(s, a), Distribution(row_model))
         kl_bound = float(mdp.gamma * math.sqrt(2.0 * kl) * v_inf)
     except SupportViolationError:
         kl_bound = math.inf
     return HolderPinskerBounds(err, l1, kl_bound)
 
 
-def vaml_loss(mdp: FiniteMdp, that, c, s: int, a: int):
-    """Worst squared expectation gap over the c-Lipschitz value ball.
+def cell_loss(true: Distribution, model_row, space, c: float):
+    """(loss, maximizing potential): the worst squared expectation gap of a true
+    and a model next-state row over the c-Lipschitz value ball.
 
-    The supremum is a transport dual LP with Lipschitz bound c applied to
-    the pair of next-state distributions; its square is the loss and the
-    maximizing potential is returned as the worst-case value function.
+    The supremum is a transport dual LP with Lipschitz bound c; its square is
+    the loss.  At c = 0 the loss is 0, and the model row is not read.
     """
-    bound = _bound_value(c)
-    n = mdp.n_states
-    if bound == 0.0:
-        return 0.0, ScalarField(np.zeros(n))
-    row_true = Distribution(mdp.transition[s, a])
-    row_model = Distribution(_model_row(mdp, that, s, a))
-    value, potential = wasserstein_dual(row_true, row_model, mdp.space, bound)
+    if c == 0.0:
+        return 0.0, ScalarField(np.zeros(space.n))
+    value, potential = wasserstein_dual(true, Distribution(model_row), space, c)
     return float(value * value), potential.f
+
+
+def vaml_loss(mdp: FiniteMdp, that, c, s: int, a: int):
+    """``cell_loss`` of the (s, a) rows of the true and model kernels."""
+    return cell_loss(mdp.transition_dist(s, a), _model_row(mdp, that, s, a), mdp.space, _bound_value(c))
 
 
 def value_lipschitz_bound(mdp: FiniteMdp) -> ValueClassBound:
@@ -144,11 +145,11 @@ class ValueLipschitzCheck:
 
 
 def verify_value_lipschitz(
-    mdp: FiniteMdp, op: BackupOperator, delta: float = 1e-10
+    mdp: FiniteMdp, op: BackupOperator, delta: float = 1e-10, on_sweep=None
 ) -> ValueLipschitzCheck:
-    """Run GVI and compare the fixed point's measured smoothness to the bound."""
+    """Run GVI (``on_sweep`` goes to it) and compare the fixed point's smoothness to the bound."""
     bound = value_lipschitz_bound(mdp).c
-    result = gvi(mdp, op, delta=delta)
+    result = gvi(mdp, op, delta=delta, on_sweep=on_sweep)
     kq = uniform_lipschitz_constant(result.q.q.T, mdp.space).constant
     kv = lipschitz_constant(result.v, mdp.space).constant
     slack = 1e-8 * (1.0 + bound)
@@ -216,9 +217,7 @@ def verify_equivalence(mdp: FiniteMdp, that, c) -> EquivalenceReport:
     for s in range(mdp.n_states):
         for a in range(mdp.n_actions):
             loss, _ = vaml_loss(mdp, that, bound, s, a)
-            w, _ = wasserstein_primal(
-                Distribution(mdp.transition[s, a]), Distribution(that[s, a]), mdp.space
-            )
+            w, _ = wasserstein_primal(mdp.transition_dist(s, a), Distribution(that[s, a]), mdp.space)
             gap = abs(loss - (bound * w) ** 2)
             max_gap = max(max_gap, gap)
             cells.append(EquivalenceCell(s, a, loss, w, bound, gap))

@@ -13,6 +13,7 @@ settings.load_profile("default")
 
 @pytest.fixture(autouse=True)
 def empty_lp_memo():
-    """Start every test with an empty phase-1 memo, so no test sees another's LPs."""
+    """Start every test with an empty LP memo, phase-1 results and stored answers
+    alike, and zeroed memo counts, so no test sees another's LPs."""
     lp.clear_memo()
     yield

@@ -420,6 +420,28 @@ class TestOutPath:
         assert afile.read_text() == "kept"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
+    def test_empty_out_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        suite = suites.SUITES["duality"]
+        monkeypatch.setitem(suites.SUITES, "duality", functools.wraps(suite)(_forbidden))
+        monkeypatch.setattr(cli, "generate_lipschitz_mdp", _forbidden)
+        for argv in (("verify", "duality", "--trials", "1"), ("gen-mdp",)):
+            assert run_cli(*argv, "--out", "") == 2
+            assert capsys.readouterr().err == "error: out: must not be empty\n"
+        assert run_cli("gen-mdp", "--out", "sub/") == 2  # names a directory, even one not made yet
+        assert capsys.readouterr().err == "error: out: sub/ is a directory, not a file\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gen_mdp_bare_file_name_goes_to_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("gen-mdp", "--states", "3", "--out", "m.json") == 0
+        assert load_mdp(tmp_path / "m.json").n_states == 3
+
+    def test_sidecar_named_from_the_report_file_alone(self, tmp_path):
+        out = tmp_path / "res.json"
+        assert run_cli("verify", "duality", "--trials", "1", "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["verify_duality.json", "verify_duality.meta.json"]
+
     def test_missing_directories_are_made(self, tmp_path):
         out = tmp_path / "a" / "b"
         assert run_cli("verify", "operators", "--trials", "1", "--out", str(out)) == 0

@@ -19,7 +19,7 @@ from wassmdp.learner import (
     parse_loss_kind,
     vaml_loss_kind,
 )
-from wassmdp.mdp import FiniteMdp, generate_lipschitz_mdp
+from wassmdp.mdp import FiniteMdp, generate_lipschitz_mdp, kernel_lipschitz
 from wassmdp.metric import MetricSpace
 from wassmdp.suites import cell_rng
 from wassmdp.transport import Distribution, wasserstein_primal
@@ -123,11 +123,11 @@ class TestAggregateLoss:
                 m_row = rng.dirichlet(np.full(5, 0.5))
                 mask = t_row > 0.0
                 formula = max(float(np.sum(t_row[mask] * np.log(t_row[mask] / m_row[mask]))), 0.0)
-                assert _pair_loss(mdp, KL_LOSS, None, Distribution(t_row), m_row) == formula
+                assert _pair_loss(mdp, KL_LOSS, None, s, a, m_row) == formula
                 # A model row that underflowed to zero where the true row has
                 # mass: the line search must see a loss it rejects.
                 off = np.eye(5)[(int(np.argmax(t_row)) + 1) % 5]
-                assert _pair_loss(mdp, KL_LOSS, None, Distribution(t_row), off) == np.inf
+                assert _pair_loss(mdp, KL_LOSS, None, s, a, off) == np.inf
 
     def test_vaml_aggregate_is_scaled_squared_wasserstein(self):
         mdp = small_mdp(seed=3, n=5, m=2)
@@ -154,30 +154,53 @@ class TestAggregateLoss:
 
 
 class TestTrueRows:
-    def test_one_distribution_per_true_row_per_fit(self, monkeypatch):
+    def test_one_distribution_per_true_row_per_mdp(self, monkeypatch):
         mdp = small_mdp(seed=5, n=4, m=2)
-        calls = []
-        build = FiniteMdp.transition_dist
+        built = []  # the true rows that Distributions were built from
+        check = Distribution.__post_init__
 
-        def counting(self, s, a):
-            calls.append((s, a))
-            return build(self, s, a)
+        def counting(self):
+            if isinstance(self.p, np.ndarray) and np.shares_memory(self.p, mdp.transition):
+                built.append(self.p.__array_interface__["data"][0])
+            check(self)
 
-        monkeypatch.setattr(FiniteMdp, "transition_dist", counting)
+        monkeypatch.setattr(Distribution, "__post_init__", counting)
+        kernel_lipschitz(mdp)
         fit_model(mdp, WASSERSTEIN_LOSS, FitConfig(iters=3, step_size=0.5))
-        assert sorted(calls) == [(s, a) for s in range(4) for a in range(2)]
+        fit_model(mdp, vaml_loss_kind(1.0), FitConfig(iters=1, step_size=0.5, model_rank=2))
+        verify_equivalence(mdp, cell_rng(64, 0).dirichlet(np.ones(4), size=(4, 2)), 1.0)
+        assert len(built) == len(set(built)) == 8
+        for s in range(4):
+            for a in range(2):
+                assert mdp.transition_dist(s, a) is mdp.transition_dist(s, a)
+                assert np.array_equal(mdp.transition_dist(s, a).p, mdp.transition[s, a])
+
+
+class TestOneCellLoss:
+    @pytest.mark.parametrize("rank", [None, 2])
+    def test_per_cell_losses_are_vaml_losses_and_aggregate_is_their_mean(self, rank):
+        mdp = small_mdp(seed=5, n=4, m=2)
+        report = fit_model(mdp, vaml_loss_kind(), FitConfig(iters=3, step_size=0.5, model_rank=rank))
+        that = report.final_model.transition_tensor()
+        for s in range(4):
+            for a in range(2):
+                assert report.per_cell_losses[s, a] == vaml.vaml_loss(mdp, that, report.c_used, s, a)[0]
+        total = 0.0
+        for loss in report.per_cell_losses.ravel().tolist():  # row order, one addition at a time
+            total += loss
+        assert aggregate_loss(mdp, report.final_model, report.kind) == total / 8
 
 
 class TestGradients:
     def test_fd_matches_analytic_kl(self):
-        from wassmdp.learner import _fd_gradient_full, _kl_gradient_full, _true_rows
+        from wassmdp.learner import _fd_gradient_full, _kl_gradient_full
 
         mdp = small_mdp(seed=5, n=4, m=2, smoothing=0.4)
         rng = cell_rng(62, 0)
         for _ in range(20):
             model = ModelParams(rng.normal(0.0, 1.0, size=(4, 2, 4)))
             analytic = _kl_gradient_full(mdp, model)
-            fd = _fd_gradient_full(mdp, KL_LOSS, None, model, _true_rows(mdp))
+            fd = _fd_gradient_full(mdp, KL_LOSS, None, model)
             scale = 1.0 + np.abs(analytic).max()
             assert np.abs(fd - analytic).max() <= 1e-5 * scale
 

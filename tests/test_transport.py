@@ -146,6 +146,25 @@ class TestDual:
             scaled, _ = wasserstein_dual(mu1, mu2, sp, c)
             assert scaled == pytest.approx(c * base, abs=1e-6 * (1.0 + c))
 
+    def test_power_of_two_scaling_is_exact(self):
+        # Scaling every distance by 2^k scales each cost, bound and value of
+        # both LPs without rounding, so all three results scale exactly.
+        for t in range(30):
+            rng = cell_rng(56, t)
+            n = 3 + t % 8
+            sp = random_metric_space(rng, n, "plane")
+            mu1, mu2 = random_distribution(rng, n), random_distribution(rng, n)
+            primal, _ = wasserstein_primal(mu1, mu2, sp)
+            dual, pot = wasserstein_dual(mu1, mu2, sp, 1.0)
+            pts = np.array(sp.embedding["coords"])
+            for k in (-10, -3, 1, 3, 10, 20):
+                scale = 2.0**k
+                scaled = MetricSpace.grid2d(pts * scale)
+                assert wasserstein_primal(mu1, mu2, scaled)[0] == scale * primal, (t, k)
+                value, potential = wasserstein_dual(mu1, mu2, scaled, 1.0)
+                assert value == scale * dual, (t, k)
+                assert np.array_equal(potential.f.values, scale * pot.f.values), (t, k)
+
     def test_nonpositive_bound_rejected(self):
         sp = MetricSpace.unit_line(2)
         mu = Distribution.uniform(2)
