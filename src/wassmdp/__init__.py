@@ -40,6 +40,7 @@ from .metric import (
 from .planner import (
     BackupOperator,
     GviConvergenceError,
+    GviDivergedError,
     GviResult,
     MAX,
     MEAN,
@@ -53,6 +54,7 @@ from .planner import (
     parse_operator,
 )
 from .transport import (
+    CertificateError,
     Coupling,
     Distribution,
     DualPotential,

@@ -12,11 +12,11 @@ cell losses; a VAML cell's is ``vaml.cell_loss``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import FiniteMdp, kernel_lipschitz, reward_lipschitz
+from .mdp import FiniteMdp
 from .planner import MAX, evaluate_policy, greedy_policy, gvi
 from .transport import Distribution, SupportViolationError, kl_divergence, wasserstein_primal
 from .vaml import cell_loss, value_lipschitz_bound
@@ -472,15 +472,7 @@ def compare_losses(mdp: FiniteMdp, kinds, config: FitConfig = FitConfig()) -> Lo
     kinds = list(kinds)
     if not kinds:
         raise ValueError("need at least one loss kind to compare")
-    # Every fit and cross-evaluation reads K_W and K_R: measure any the MDP lacks once, here.
-    # The value bound comes next, so ContractionPreconditionError comes before any fit.
-    kw = mdp.measured_kernel_constant
-    if kw is None:
-        kw = kernel_lipschitz(mdp).constant
-    kr = mdp.measured_reward_constant
-    if kr is None:
-        kr = reward_lipschitz(mdp).constant
-    mdp = replace(mdp, measured_kernel_constant=kw, measured_reward_constant=kr)
+    # The value bound comes first, so ContractionPreconditionError comes before any fit.
     bound = value_lipschitz_bound(mdp).c
     reports = [fit_model(mdp, kind, config) for kind in kinds]
     cross = {}
@@ -488,4 +480,4 @@ def compare_losses(mdp: FiniteMdp, kinds, config: FitConfig = FitConfig()) -> Lo
         name = loss_kind_spec(report.kind)
         for kind in kinds:
             cross[(name, loss_kind_spec(kind))] = aggregate_loss(mdp, report.final_model, kind)
-    return LossComparison(tuple(reports), cross, bound, mdp.gamma * kw)
+    return LossComparison(tuple(reports), cross, bound, mdp.gamma * mdp.measured_kernel_constant)

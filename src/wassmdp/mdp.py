@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,16 +35,16 @@ class FiniteMdp:
     """States with a metric, actions, rewards, transition tensor, discount.
 
     ``transition[s, a]`` is the next-state distribution for taking action
-    ``a`` in state ``s``.  Instances coming out of the generator carry the
-    measured kernel and reward Lipschitz constants.
+    ``a`` in state ``s``.  The MDP measures its own kernel and reward
+    Lipschitz constants, K_W and K_R, on first read and keeps them; they
+    are not fields, so no caller can set them and a copy made with
+    ``dataclasses.replace`` measures its own.
     """
 
     space: MetricSpace
     reward: np.ndarray
     transition: np.ndarray
     gamma: float
-    measured_kernel_constant: float | None = None
-    measured_reward_constant: float | None = None
 
     def __post_init__(self):
         r = np.array(self.reward, dtype=float)
@@ -69,7 +69,7 @@ class FiniteMdp:
         if err.max() > _EXACT_TOL:
             s, a = np.unravel_index(int(np.argmax(err)), err.shape)
             raise ValueError(
-                f"transition row for state {s}, action {a} sums to {sums[s, a]!r}"
+                f"transition row for state {s}, action {a} sums to {sums[s, a].item()!r}"
             )
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma!r}")
@@ -94,6 +94,16 @@ class FiniteMdp:
     def transition_dist(self, s: int, a: int) -> Distribution:
         """The row ``transition[s, a]`` as a Distribution, built once per MDP."""
         return self._transition_dists[s][a]
+
+    @functools.cached_property
+    def measured_kernel_constant(self) -> float:
+        """K_W, from ``kernel_lipschitz``: measured on first read, then kept."""
+        return kernel_lipschitz(self).constant
+
+    @functools.cached_property
+    def measured_reward_constant(self) -> float:
+        """K_R, from ``reward_lipschitz``: measured on first read, then kept."""
+        return reward_lipschitz(self).constant
 
 
 @dataclass(frozen=True)
@@ -194,10 +204,11 @@ def generate_lipschitz_mdp(
     deterministic 1-Lipschitz map with the uniform distribution, weight
     ``smoothing`` toward uniform, which caps K_W at 1 - smoothing.
     Rewards are drawn in [-1, 1] and rescaled to the target reward
-    Lipschitz constant.  Controlling K_W exactly is hard, so the realized
-    constants are measured afterwards and attached to the instance;
-    downstream bound checks use the measured values, not the construction
-    target.  Deterministic in ``seed``.
+    Lipschitz constant.  Controlling K_W exactly is hard, so downstream
+    bound checks use the realized constants the MDP measures, not the
+    construction target.  With ``measure`` (the default) both are measured
+    before the MDP is returned; without it, on first read.  Deterministic
+    in ``seed``.
     """
     if n < 2 or m < 1:
         raise ValueError("need at least two states and one action")
@@ -231,12 +242,8 @@ def generate_lipschitz_mdp(
         reward = reward * (reward_lipschitz_target / k0)
 
     out = FiniteMdp(space, reward, transition, gamma)
-    if measure:
-        out = replace(
-            out,
-            measured_kernel_constant=kernel_lipschitz(out).constant,
-            measured_reward_constant=reward_lipschitz(out).constant,
-        )
+    if measure:  # the first read measures, so read both as part of generation
+        _ = out.measured_kernel_constant, out.measured_reward_constant
     return out
 
 
@@ -290,7 +297,7 @@ def load_mdp(path) -> FiniteMdp:
         err = np.abs(sums - 1.0)
         if (err > ROW_SUM_TOL).any():
             s, a, _ = np.argwhere(err > ROW_SUM_TOL)[0]
-            raise MdpFormatError(f"transition[{s}][{a}]: probabilities sum to {sums[s, a, 0]!r}")
+            raise MdpFormatError(f"transition[{s}][{a}]: probabilities sum to {sums[s, a, 0].item()!r}")
         transition = np.where(err > _EXACT_TOL, transition / sums, transition)
     try:
         mdp = FiniteMdp(space, reward, transition, gamma)

@@ -20,16 +20,25 @@ AXIOM_TOL = 1e-12
 
 
 class MetricError(ValueError):
-    """Raised when a distance matrix violates the metric axioms."""
+    """Raised when a distance matrix violates the metric axioms, or the labels are not
+    one distinct string per point."""
 
 
 def _norm_labels(labels, n):
+    """labels as a tuple of n distinct strings, or None; anything else is a MetricError."""
     if labels is None:
         return None
-    labels = tuple(str(x) for x in labels)
+    if not isinstance(labels, (list, tuple)):
+        raise MetricError(f"labels must be a list of {n} strings, got {type(labels).__name__}")
     if len(labels) != n:
         raise MetricError(f"expected {n} labels, got {len(labels)}")
-    return labels
+    for i, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise MetricError(f"labels[{i}] must be a string, got {label!r}")
+    if len(set(labels)) != n:
+        repeated = next(x for i, x in enumerate(labels) if x in labels[:i])
+        raise MetricError(f"labels must be distinct, {repeated!r} repeats")
+    return tuple(labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,24 +72,25 @@ class MetricSpace:
         diag = np.abs(np.diag(d))
         if diag.max(initial=0.0) > AXIOM_TOL:
             i = int(np.argmax(diag))
-            raise MetricError(f"dist[{i}][{i}] = {d[i, i]!r}, diagonal must be zero")
+            raise MetricError(f"dist[{i}][{i}] = {d.item(i, i)!r}, diagonal must be zero")
         asym = np.abs(d - d.T)
         if asym.max(initial=0.0) > AXIOM_TOL:
             i, j = np.unravel_index(int(np.argmax(asym)), d.shape)
             raise MetricError(
-                f"asymmetric distances for pair ({i}, {j}): {d[i, j]!r} vs {d[j, i]!r}"
+                f"asymmetric distances for pair ({i}, {j}): {d.item(i, j)!r} vs {d.item(j, i)!r}"
             )
         off = d.copy()
         np.fill_diagonal(off, 1.0)
         if np.any(off <= 0.0):
             i, j = (int(v) for v in np.argwhere(off <= 0.0)[0])
             raise MetricError(
-                f"points {i} and {j} are distinct but at distance {d[i, j]!r}"
+                f"points {i} and {j} are distinct but at distance {d.item(i, j)!r}"
             )
         if check_triangle and n >= 3:
             through = np.full_like(d, np.inf)
-            for k in range(n):  # min over k of d[i, k] + d[k, j] in O(n^2) memory
-                np.minimum(through, d[:, k, None] + d[k], out=through)
+            with np.errstate(over="ignore"):  # a sum past the largest float is inf, as it should be
+                for k in range(n):  # min over k of d[i, k] + d[k, j] in O(n^2) memory
+                    np.minimum(through, d[:, k, None] + d[k], out=through)
             gap = d - through
             if gap.max() > AXIOM_TOL:
                 i, j = np.unravel_index(int(np.argmax(gap)), d.shape)

@@ -4,6 +4,7 @@ operators, plus greedy policy extraction and exact policy evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +151,17 @@ class GviConvergenceError(RuntimeError):
         )
 
 
+class GviDivergedError(GviConvergenceError):
+    """A sweep's max change is not finite: the iterate overflowed."""
+
+    def __init__(self, last_diff, sweep):
+        self.last_diff = float(last_diff)
+        self.sweep = int(sweep)
+        RuntimeError.__init__(
+            self, f"sweep {sweep} diverged: its max change is {last_diff}, the values overflow"
+        )
+
+
 def check_gvi_settings(settings: dict) -> None:
     """Raise ValueError, naming the setting, on a ``delta`` or ``max_iter`` that gvi
     cannot run with; other keys of ``settings`` are not read."""
@@ -175,7 +187,8 @@ def gvi(
     the previous one, which makes the per-sweep Lipschitz recursion exact
     for the property checks.  ``in_place=True`` instead updates cell by
     cell with the freshest values.  ``on_sweep(iteration, q, diff)`` is
-    invoked after every sweep.
+    invoked after every sweep.  A sweep whose largest change is not finite
+    raises GviDivergedError.
     """
     check_gvi_settings({"delta": delta, "max_iter": max_iter})
     n, m = mdp.n_states, mdp.n_actions
@@ -190,26 +203,27 @@ def gvi(
     gamma = mdp.gamma
     backup = _row_backup(op)
     diff = np.inf
-    for sweep in range(1, max_iter + 1):
-        if in_place:
-            diff = 0.0
-            q = q.copy()
-            v_now = backup(q)
-            for s in range(n):
-                for a in range(m):
-                    new = r[s, a] + gamma * float(mdp.transition[s, a] @ v_now)
-                    diff = max(diff, abs(new - q[s, a]))
-                    q[s, a] = new
-                    v_now[s] = backup(q[s : s + 1])[0]  # only row s changed
-        else:
-            v_now = backup(q)
-            q_next = r + gamma * (t_flat @ v_now).reshape(n, m)
-            diff = np.maximum.reduce(np.abs(q_next - q), axis=None).item()
-            q = q_next
-        if on_sweep is not None:
-            on_sweep(sweep, q.copy(), diff)
-        if diff < delta:
-            return GviResult(QFunction(q), ScalarField(backup(q)), sweep, diff)
+    # Overflow shows as a non-finite diff, which raises; numpy need not warn too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweep in range(1, max_iter + 1):
+            prev = q
+            if in_place:
+                q = q.copy()
+                v_now = backup(q)
+                for s in range(n):
+                    for a in range(m):
+                        q[s, a] = r[s, a] + gamma * float(mdp.transition[s, a] @ v_now)
+                        v_now[s] = backup(q[s : s + 1])[0]  # only row s changed
+            else:
+                v_now = backup(q)
+                q = r + gamma * (t_flat @ v_now).reshape(n, m)
+            diff = np.maximum.reduce(np.abs(q - prev), axis=None).item()
+            if not math.isfinite(diff):
+                raise GviDivergedError(diff, sweep)
+            if on_sweep is not None:
+                on_sweep(sweep, q.copy(), diff)
+            if diff < delta:
+                return GviResult(QFunction(q), ScalarField(backup(q)), sweep, diff)
     raise GviConvergenceError(diff, max_iter)
 
 

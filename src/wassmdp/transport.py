@@ -25,6 +25,10 @@ class SupportViolationError(ValueError):
     """KL divergence is infinite: mu1 puts mass where mu2 has none."""
 
 
+class CertificateError(ArithmeticError):
+    """The transport LP's own answer fails the Coupling or DualPotential check."""
+
+
 class SinkhornConvergenceError(RuntimeError):
     """Sinkhorn ran out of iterations; carries the last marginal violation."""
 
@@ -51,8 +55,8 @@ class Distribution:
             raise ValueError("distribution contains non-finite entries")
         if v.min() < 0.0:
             i = int(np.argmin(v))
-            raise ValueError(f"negative probability {v[i]!r} at index {i}")
-        s = v.sum()
+            raise ValueError(f"negative probability {v.item(i)!r} at index {i}")
+        s = v.sum().item()
         if abs(s - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {s!r}, expected 1")
         v.setflags(write=False)
@@ -95,7 +99,7 @@ class Coupling:
         if j.shape != (a.size, b.size):
             raise ValueError(f"plan shape {j.shape} does not match marginals")
         if j.min() < -PROB_TOL:
-            raise ValueError(f"coupling entry {j.min()!r} below zero")
+            raise ValueError(f"coupling entry {j.min().item()!r} below zero")
         row_err = np.abs(j.sum(axis=1) - a).max()
         col_err = np.abs(j.sum(axis=0) - b).max()
         if row_err > MARGINAL_TOL or col_err > MARGINAL_TOL:
@@ -182,7 +186,10 @@ def wasserstein_primal(mu1: Distribution, mu2: Distribution, space: MetricSpace)
         if cost < -1e-9:
             raise ArithmeticError(f"negative transport cost {cost!r}")
         cost = 0.0
-    plan = Coupling(sol.x.reshape(n, n), mu1.p, mu2.p)
+    try:
+        plan = Coupling(sol.x.reshape(n, n), mu1.p, mu2.p)
+    except ValueError as exc:
+        raise CertificateError(f"transport primal LP answer: {exc}") from exc
     return float(cost), plan
 
 
@@ -217,8 +224,11 @@ def wasserstein_dual(mu1: Distribution, mu2: Distribution, space: MetricSpace, c
         if value < -1e-9:
             raise ArithmeticError(f"negative dual transport value {value!r}")
         value = 0.0
-    f = ScalarField(np.concatenate(([0.0], sol.x)))
-    return float(value), DualPotential(f, float(c_bound), space)
+    try:
+        potential = DualPotential(ScalarField(np.concatenate(([0.0], sol.x))), float(c_bound), space)
+    except ValueError as exc:
+        raise CertificateError(f"transport dual LP answer: {exc}") from exc
+    return float(value), potential
 
 
 def kl_divergence(mu1: Distribution, mu2: Distribution) -> float:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mdp import FiniteMdp, kernel_lipschitz, reward_lipschitz
+from .mdp import FiniteMdp
 from .metric import ScalarField, field_values, lipschitz_constant, uniform_lipschitz_constant
 from .planner import BackupOperator, gvi
 from .transport import (
@@ -122,13 +122,9 @@ def vaml_loss(mdp: FiniteMdp, that, c, s: int, a: int):
 
 
 def value_lipschitz_bound(mdp: FiniteMdp) -> ValueClassBound:
-    """Certified Lipschitz radius K(R) / (1 - gamma K_W) from measured constants."""
+    """Certified Lipschitz radius K(R) / (1 - gamma K_W) from the MDP's measured constants."""
     kr = mdp.measured_reward_constant
-    if kr is None:
-        kr = reward_lipschitz(mdp).constant
     kw = mdp.measured_kernel_constant
-    if kw is None:
-        kw = kernel_lipschitz(mdp).constant
     if mdp.gamma * kw >= 1.0:
         raise ContractionPreconditionError(
             f"gamma * K_W = {mdp.gamma * kw!r} >= 1; no finite value class bound"

@@ -1,5 +1,6 @@
 import functools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from wassmdp import cli, learner, lp, planner, suites
 from wassmdp.cli import main
 from wassmdp.mdp import FiniteMdp, load_mdp, save_mdp
 from wassmdp.metric import MetricSpace
+from wassmdp.transport import Coupling, Distribution
 
 
 def run_cli(*argv):
@@ -301,10 +303,13 @@ class TestSettingKeys:
         assert len(cli._RUN_KEYS["learn"]) == len(cli._RUN_KEYS["compare"]) == len(fit) + 4
 
 
+_LINE = {"embedding": {"kind": "line", "coords": [0.0, 1.0]}}
+
+
 def _mdp_doc(**fields):
     """A valid two-state, one-action MDP file body with ``fields`` replaced."""
     doc = {
-        "space": {"embedding": {"kind": "line", "coords": [0.0, 1.0]}},
+        "space": _LINE,
         "actions": 1,
         "gamma": 0.9,
         "reward": [[0.0], [1.0]],
@@ -363,6 +368,22 @@ _REJECTED = {
     "operator_number": (("run", "gvi"), {"cfg": {"generator": {}, "operator": 5}}, "operator: must be a string"),
     "mdp_path_number": (("run", "gvi"), {"cfg": {"mdp": 5}}, "mdp: must be a string, got 5"),
     "generator_text": (("run", "gvi"), {"cfg": {"generator": "states"}}, "generator: must be a JSON object"),
+    "labels_string": (
+        ("run", "gvi"), {"m.json": _mdp_doc(space={**_LINE, "labels": "ab"})},
+        "space: labels must be a list of 2 strings, got str",
+    ),
+    "labels_number": (
+        ("run", "gvi"), {"m.json": _mdp_doc(space={**_LINE, "labels": ["a", 1]})},
+        "space: labels[1] must be a string, got 1",
+    ),
+    "labels_repeated": (
+        ("run", "gvi"), {"m.json": _mdp_doc(space={**_LINE, "labels": ["a", "a"]})},
+        "space: labels must be distinct, 'a' repeats",
+    ),
+    "labels_object": (
+        ("run", "gvi"), {"m.json": _mdp_doc(space={**_LINE, "labels": {"a": 0, "b": 1}})},
+        "space: labels must be a list of 2 strings, got dict",
+    ),
 }
 
 
@@ -474,6 +495,23 @@ class TestRuntimeErrors:
         assert err.endswith(">= 1; no finite value class bound\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_overflowing_gvi_exit_1_at_the_first_non_finite_sweep(self, tmp_path, capsys, in_place):
+        reward = [[1e308], [1e308], [0.0]]
+        transition = [[[0.5, 0.5, 0.0]], [[0.0, 0.5, 0.5]], [[0.5, 0.0, 0.5]]]
+        space = {"embedding": {"kind": "line", "coords": [0.0, 1.0, 2.0]}}
+        mdp = _file(tmp_path, "m.json", _mdp_doc(space=space, reward=reward, transition=transition))
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, "c.json", {"mdp": mdp, "in_place": in_place})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("run", "gvi", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep 2 diverged: its max change is ")
+        assert err.endswith(", the values overflow\n") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_singular_basis_exit_1(self, tmp_path, capsys, monkeypatch):
         def singular(a, b):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -484,6 +522,47 @@ class TestRuntimeErrors:
         assert code == 1
         assert capsys.readouterr().err == "error: final basis matrix is singular: Singular matrix\n"
         assert not out.exists()
+
+
+def _load(directory, **fields):
+    return load_mdp(_file(directory, "m.json", _mdp_doc(**fields)))
+
+
+_HUGE = [[0.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]]
+
+# What a rejected object says, or None for an input that loads: (build, message).
+_MESSAGES = {
+    "duplicate_point": (lambda d: MetricSpace.from_matrix([[0.0, 0.0], [0.0, 0.0]]),
+                        "points 0 and 1 are distinct but at distance 0.0"),
+    "diagonal": (lambda d: MetricSpace.from_matrix([[0.5, 1.0], [1.0, 0.0]]), "dist[0][0] = 0.5, diagonal must be zero"),
+    "asymmetric": (lambda d: MetricSpace.from_matrix([[0.0, 1.0], [2.0, 0.0]]),
+                   "asymmetric distances for pair (0, 1): 1.0 vs 2.0"),
+    "negative_probability": (lambda d: Distribution([1.1, -0.1]), "negative probability -0.1 at index 1"),
+    "probability_sum": (lambda d: Distribution([0.6, 0.5]), "probabilities sum to 1.1, expected 1"),
+    "coupling_entry": (lambda d: Coupling([[-0.1, 0.6], [0.6, -0.1]], [0.5, 0.5], [0.5, 0.5]),
+                       "coupling entry -0.1 below zero"),
+    "mdp_row_sum": (lambda d: FiniteMdp(MetricSpace.unit_line(2), [[0.0], [0.0]], [[[0.6, 0.5]], [[0.5, 0.5]]], 0.9),
+                    "transition row for state 0, action 0 sums to 1.1"),
+    "file_row_sum": (lambda d: _load(d, transition=[[[0.6, 0.5]], [[0.5, 0.5]]]),
+                     "transition[0][0]: probabilities sum to 1.1"),
+    "huge_distances": (lambda d: _load(d, space={"dist": _HUGE}, reward=[[0.0]] * 3, transition=[[[1.0, 0.0, 0.0]]] * 3),
+                       None),
+}
+
+
+class TestMessages:
+    @pytest.mark.parametrize("case", sorted(_MESSAGES))
+    def test_no_numpy_text_and_no_warnings(self, tmp_path, case):
+        build, message = _MESSAGES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if message is None:
+                build(tmp_path)
+                return
+            with pytest.raises(ValueError) as info:
+                build(tmp_path)
+        assert "np." not in str(info.value)
+        assert str(info.value) == message
 
 
 def _write(directory, name, doc):

@@ -1,9 +1,10 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wassmdp import learner, lp, vaml
+from wassmdp import learner, lp, mdp as mdp_mod, vaml
 from wassmdp.learner import (
     FitConfig,
     KL_LOSS,
@@ -264,10 +265,9 @@ class TestFitModel:
 
     def test_planning_gap_invariant_to_reward_shift(self):
         mdp = small_mdp(seed=12, n=5, m=2)
-        shifted = FiniteMdp(
-            mdp.space, mdp.reward + 11.25, mdp.transition, mdp.gamma,
-            mdp.measured_kernel_constant, mdp.measured_reward_constant,
-        )
+        shifted = replace(mdp, reward=mdp.reward + 11.25)
+        assert shifted.measured_kernel_constant == mdp.measured_kernel_constant
+        assert shifted.measured_reward_constant == mdp.measured_reward_constant
         cfg = FitConfig(iters=40, step_size=0.8)
         a = fit_model(mdp, KL_LOSS, cfg)
         b = fit_model(shifted, KL_LOSS, cfg)
@@ -360,19 +360,18 @@ class TestCompareLosses:
             compare_losses(mdp, [KL_LOSS], FitConfig(iters=2))
 
     def test_measures_missing_constants_once(self, monkeypatch):
-        # An MDP read from a file carries no measured constants; every fit and
-        # cross-evaluation needs K_W, and compare_losses measures it once.
+        # An MDP read from a file has not measured its constants yet; every fit
+        # and cross-evaluation needs K_W, and the MDP measures it once.
         mdp = small_mdp(seed=15, n=4, m=1)
         bare = FiniteMdp(mdp.space, mdp.reward, mdp.transition, mdp.gamma)
         calls = []
-        measure = learner.kernel_lipschitz
+        measure = mdp_mod.kernel_lipschitz
 
         def counting(arg):
             calls.append(arg)
             return measure(arg)
 
-        monkeypatch.setattr(learner, "kernel_lipschitz", counting)
-        monkeypatch.setattr(vaml, "kernel_lipschitz", counting)
+        monkeypatch.setattr(mdp_mod, "kernel_lipschitz", counting)
         cfg = FitConfig(iters=2, step_size=0.5)
         kinds = [KL_LOSS, WASSERSTEIN_LOSS, vaml_loss_kind()]
         comparison = compare_losses(bare, kinds, cfg)

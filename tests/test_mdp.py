@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,6 +179,27 @@ class TestGenerator:
             mdp = generate_lipschitz_mdp(5, 1, 0.9, 0.5, seed=1, space_kind=kind)
             assert mdp.n_states == 5
             assert mdp.measured_kernel_constant is not None
+
+    def test_each_true_row_is_validated_once(self, monkeypatch):
+        built = []
+        check = Distribution.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(Distribution, "__post_init__", counting)
+        mdp = generate_lipschitz_mdp(6, 2, 0.9, 0.4, 0)
+        rows = [mdp.transition_dist(s, a) for s in range(6) for a in range(2)]
+        assert len(built) == 12
+        assert {id(row) for row in rows} == {id(d) for d in built}
+
+    def test_a_replaced_kernel_measures_its_own_constant(self):
+        mdp = generate_lipschitz_mdp(6, 2, 0.9, 0.4, 0)
+        assert mdp.measured_kernel_constant == pytest.approx(0.6, abs=1e-9)
+        uniform = replace(mdp, transition=np.full((6, 2, 6), 1.0 / 6))
+        assert uniform.measured_kernel_constant == 0.0
+        assert uniform.measured_reward_constant == mdp.measured_reward_constant
 
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):

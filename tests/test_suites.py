@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from wassmdp import suites
 
-from wassmdp.mdp import FiniteMdp, generate_lipschitz_mdp, kernel_lipschitz, reward_lipschitz
+from wassmdp.mdp import FiniteMdp, generate_lipschitz_mdp, load_mdp, save_mdp
 from wassmdp.metric import MetricSpace
 from wassmdp.planner import gvi
 from wassmdp.suites import (
@@ -29,12 +28,7 @@ def stretch_mdp(gamma=0.9):
     t[1, 0, 3] = 1.0
     t[2, 0, 0] = 1.0
     t[3, 0, 3] = 1.0
-    mdp = FiniteMdp(space, np.arange(float(n)).reshape(n, 1), t, gamma)
-    return replace(
-        mdp,
-        measured_kernel_constant=kernel_lipschitz(mdp).constant,
-        measured_reward_constant=reward_lipschitz(mdp).constant,
-    )
+    return FiniteMdp(space, np.arange(float(n)).reshape(n, 1), t, gamma)
 
 
 # On this draw, multiplying by 1/dist in place of dividing by dist moves the
@@ -53,12 +47,7 @@ def stay_mdp(seed):
     t = np.zeros((n, 1, n))
     t[np.arange(n), 0, np.arange(n)] = 1.0
     space = MetricSpace.grid2d(rng.uniform(0.0, 3.0, (n, 2)))
-    mdp = FiniteMdp(space, rng.uniform(-1.0, 1.0, (n, 1)), t, 0.9)
-    return replace(
-        mdp,
-        measured_kernel_constant=kernel_lipschitz(mdp).constant,
-        measured_reward_constant=reward_lipschitz(mdp).constant,
-    )
+    return FiniteMdp(space, rng.uniform(-1.0, 1.0, (n, 1)), t, 0.9)
 
 
 def triu_scan_constant(q, dist):
@@ -160,12 +149,23 @@ class TestTheoremSuite:
         assert rep.details["recursion_sweeps"] == sweeps > 2 * len(_default_operator_grid())
         assert rep.details["recursion_min_slack"] == min(slacks) > 0.0
 
+    def test_loaded_mdp_gives_the_generated_mdps_report(self, tmp_path):
+        # A file carries no constants; the loaded MDP measures its own.
+        mdp = generate_lipschitz_mdp(6, 2, 0.9, 0.4, seed=3)
+        save_mdp(mdp, tmp_path / "mdp.json")
+        loaded = load_mdp(tmp_path / "mdp.json")
+        rep = theorem_suite(seed=0, trials=1, mdps=[loaded]).to_json_dict()
+        assert rep == theorem_suite(seed=0, trials=1, mdps=[mdp]).to_json_dict()
+        assert rep["worst"]["provided"] and rep["pass"]
+
     def test_one_lipschitz_call_per_member_per_sweep(self, monkeypatch):
         # The benchmark's traced theorem run checks these two counts; the
         # calls must go through the module globals, where a tracer sees them.
         from wassmdp import metric, suites, vaml
 
         mdps = [generate_lipschitz_mdp(6, 3, 0.9, 0.5, seed=7), stay_mdp(SWEEP_CHECK_SEED)]
+        for mdp in mdps:  # measured before counting, as generation measures
+            assert mdp.measured_kernel_constant >= 0.0 and mdp.measured_reward_constant >= 0.0
         calls = {"all": 0, "in_gvi": 0}
         runs = []  # (sweeps, m) per gvi call
         measure, plan = metric.lipschitz_constant, vaml.gvi

@@ -8,6 +8,7 @@ from wassmdp import lp, transport
 from wassmdp.metric import MetricSpace, lipschitz_constant
 from wassmdp.suites import cell_rng, random_distribution, random_metric_space
 from wassmdp.transport import (
+    CertificateError,
     Coupling,
     Distribution,
     DualPotential,
@@ -121,6 +122,19 @@ class TestPrimal:
 
 
 class TestDual:
+    def test_lp_answer_failing_its_check_is_a_certificate_error(self):
+        # Planar points scaled by 2**-25: the dual LP's own potential comes
+        # back steeper than the bound allows, and the check says so.
+        rng = cell_rng(5, 20)
+        n = int(rng.integers(4, 12))
+        space = MetricSpace.grid2d(rng.uniform(0.0, 3.0, (n, 2)) * 2.0**-25)
+        draws = cell_rng(5, 1020)
+        mu1, mu2 = random_distribution(draws, n), random_distribution(draws, n)
+        with pytest.raises(CertificateError, match="potential has Lipschitz constant 1.00000838") as info:
+            wasserstein_dual(mu1, mu2, space, 1.0)
+        assert isinstance(info.value, ArithmeticError)
+        assert str(info.value).startswith("transport dual LP answer: ")
+
     def test_identical_distributions_value_zero(self):
         sp = MetricSpace.unit_line(3)
         mu = Distribution([0.2, 0.5, 0.3])
