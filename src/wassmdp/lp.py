@@ -1,18 +1,22 @@
 """Dense two-phase simplex solver for small linear programs.
 
 Maximizes ``objective @ x`` subject to ``A @ x (relations) rhs`` row by
-row and ``lower <= x <= upper``, all given as arrays.  Everything is
-converted to equality standard form with nonnegative variables, phase 1
-drives artificial variables out, and phase 2 optimizes the real
-objective.  The final basis is re-factorized against the original data
-so the returned point is certified feasible rather than inherited from
-accumulated tableau arithmetic.  Problems without constraint rows take
-the same path as the others.  A solve holds one dense tableau and one
-scratch buffer of the same size, and it releases both before the basis
-matrix is gathered from the standard form.  That matrix is cut to the
-rows phase 1 kept only when phase 1 dropped one, so the refactorization
-of a large dual holds the basis matrix and LAPACK's own copy of it, and
-no third matrix of its size.
+row and ``lower <= x <= upper``, all given as arrays.  It takes the two
+shapes the W1 programs pose: rows are "<=" or "==", every lower bound is
+finite and every upper bound finite or +inf.  The standard form shifts
+each variable by its lower bound to u >= 0, adds a "<=" row per finite
+upper bound and negates the rows whose right-hand side is negative;
+phase 1 drives the artificial variables of the "==" and negated rows
+out, and phase 2 optimizes the real objective.  The final basis is
+re-factorized against the original data so the returned point is
+certified feasible rather than inherited from accumulated tableau
+arithmetic.  Problems without constraint rows take the same path as the
+others.  A solve holds one dense tableau and one scratch buffer of the
+same size, and it releases both before the basis matrix is gathered from
+the standard form.  That matrix is cut to the rows phase 1 kept only
+when phase 1 dropped one, so the refactorization of a large dual holds
+the basis matrix and LAPACK's own copy of it, and no third matrix of its
+size.
 
 Pivoting follows Bland's rule throughout (lowest eligible entering
 index, ratio-test ties broken by lowest basis variable index), which
@@ -68,12 +72,18 @@ used out first, but an entry alone over it, such as the dual constraint
 set of a long VAML fit, sheds its oldest answers and keeps its phase 1.
 Stored arrays are read-only, each solve works on its own copies, and a
 lock guards the entries, so threads may solve concurrently.
+
+A solve runs with numpy's overflow and invalid-value warnings off: data
+near the largest float can overflow the tableau, and the solver raises
+``ArithmeticError`` instead once the tableau or the refactorized values
+stop being finite.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 import threading
 from dataclasses import dataclass
 
@@ -83,7 +93,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-LEQ, EQ, GEQ = "<=", "==", ">="
+LEQ, EQ = "<=", "=="
 
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-9
@@ -97,6 +107,8 @@ _BLOCK_MIN_SIZE = 30_000
 _MEMO_MAX_ELEMENTS = 131_072
 _MEMO_BUDGET = 262_144
 _ANSWER_OVERHEAD = 128
+# What every ArithmeticError that overflow raises says.
+_OVERFLOW = "the LP's arithmetic overflowed: its tableau or solution is no longer finite"
 
 
 class SingularBasisError(ArithmeticError):
@@ -108,18 +120,19 @@ class SingularBasisError(ArithmeticError):
 class LpProblem:
     """maximize objective @ x subject to A @ x (relations) rhs, lower <= x <= upper.
 
-    ``A`` is an (m, n_vars) matrix, ``relations`` holds one code per row
-    from {"<=", "==", ">="} and ``rhs`` one value per row; a problem
-    without constraints has ``A`` of shape (0, n_vars).  ``lower`` and
-    ``upper`` broadcast to (n_vars,), where -inf / +inf mean no bound; the
-    default is free variables.
+    ``A`` is an (m, n_vars) matrix, ``relations`` holds one code per row,
+    "<=" or "==", and ``rhs`` one value per row; a problem without
+    constraints has ``A`` of shape (0, n_vars).  A ">=" row is posed as
+    the "<=" row of its negation.  ``lower`` and ``upper`` broadcast to
+    (n_vars,): every lower bound is finite, 0.0 by default, and an upper
+    bound is finite or +inf, which means none.
     """
 
     objective: np.ndarray
     A: np.ndarray
     relations: np.ndarray
     rhs: np.ndarray
-    lower: np.ndarray | float = -np.inf
+    lower: np.ndarray | float = 0.0
     upper: np.ndarray | float = np.inf
 
     def __post_init__(self):
@@ -142,9 +155,9 @@ class LpProblem:
         bad = np.flatnonzero(~(np.isfinite(A).all(axis=1) & np.isfinite(rhs)))
         if bad.size:
             raise ValueError(f"constraint {bad[0]} contains non-finite coefficients")
-        bad = np.flatnonzero((rel != LEQ) & (rel != EQ) & (rel != GEQ))
+        bad = np.flatnonzero((rel != LEQ) & (rel != EQ))
         if bad.size:
-            raise ValueError(f"constraint {bad[0]} has unknown relation {str(rel[bad[0]])!r}")
+            raise ValueError(f"constraint {bad[0]} has relation {str(rel[bad[0]])!r}, not '<=' or '=='")
         lo = np.empty(nv)
         hi = np.empty(nv)
         try:
@@ -152,10 +165,13 @@ class LpProblem:
             hi[...] = self.upper
         except ValueError:
             raise ValueError(f"bounds do not broadcast to {nv} variables") from None
-        # NaN fails both comparisons, as does an infinity on the wrong side.
-        bad = np.flatnonzero(~((lo < np.inf) & (hi > -np.inf)))
+        # NaN fails both tests, as does an infinite lower bound or a -inf upper one.
+        bad = np.flatnonzero(~(np.isfinite(lo) & (hi > -np.inf)))
         if bad.size:
-            raise ValueError(f"bound for variable {bad[0]} is NaN or infinite on the wrong side")
+            raise ValueError(
+                f"bound for variable {bad[0]} is NaN or infinite; a lower bound must be "
+                "finite and an upper bound finite or +inf"
+            )
         names = ("objective", "A", "relations", "rhs", "lower", "upper")
         for name, value in zip(names, (c, A, rel, rhs, lo, hi)):
             object.__setattr__(self, name, value)
@@ -165,24 +181,22 @@ class LpProblem:
         return self.objective.shape[0]
 
 
-def _sense(relations):
-    """Per row: +1 for "<=", -1 for ">=", 0 for "=="; the sign of its slack."""
-    return (relations == LEQ).astype(float) - (relations == GEQ)
-
-
 @dataclass(frozen=True, eq=False)
 class LpSolution:
     """Solver outcome; x and the objective are present only when optimal.
 
-    ``duals`` are the equality prices of the internal standard form and
-    ``dual_objective_value`` is their independently re-factorized price-out
-    of the optimum, which must agree with ``objective_value``.  ``pivots``
-    counts the simplex pivots of phase 1 (artificial drive-out included)
-    and of phase 2.  ``phase1_reused`` is true when phase 1 came from the
-    memo (``pivots`` still reports its count), and ``answer_reused``, which
-    implies it, when the whole answer did, stored by an earlier certified
-    solve.  Every field has the bits a fresh solve gives either way, and
-    ``x`` and ``duals`` are the caller's own writable arrays.
+    ``duals`` are the equality prices of the internal standard form, one
+    per row phase 1 kept: the problem's rows, then one row per finite upper
+    bound, where a row whose right-hand side less ``A @ lower`` was negative
+    is priced as its negation.  ``dual_objective_value`` is their
+    independently re-factorized price-out of the optimum, which must agree
+    with ``objective_value``.  ``pivots`` counts the simplex pivots of
+    phase 1 (artificial drive-out included) and of phase 2.
+    ``phase1_reused`` is true when phase 1 came from the memo (``pivots``
+    still reports its count), and ``answer_reused``, which implies it, when
+    the whole answer did, stored by an earlier certified solve.  Every
+    field has the bits a fresh solve gives either way, and ``x`` and
+    ``duals`` are the caller's own writable arrays.
     """
 
     status: str
@@ -197,80 +211,55 @@ class LpSolution:
 
 @dataclass(frozen=True, eq=False)
 class _Standard:
-    """Equality standard form plus the affine map back to original variables.
+    """Equality standard form over u = x - q >= 0, q being the lower bounds.
 
-    Each standard column is a signed copy of one original variable:
-    x = q + scatter(signs * u over src), which keeps the transform free of
-    dense matrix products.  ``first`` is each variable's first column and
-    ``split`` lists the free variables, whose second column follows it.
-    ``sense`` is the slack sign of each row.  The form holds constraint
-    data only; ``costs`` maps an objective onto it.
+    ``sense`` is the slack sign of each row: +1 for "<=", 0 for "==", and
+    negated on the rows negated to b >= 0.  The form holds constraint data
+    only; ``costs`` maps an objective onto it.
     """
 
     A: np.ndarray
     b: np.ndarray
     sense: np.ndarray
-    src: np.ndarray
-    signs: np.ndarray
     q: np.ndarray
-    first: np.ndarray
-    split: np.ndarray
 
     def costs(self, objective):
         """The objective on the standard columns and its constant term objective @ q."""
-        return objective[self.src] * self.signs, float(objective @ self.q)
+        return objective, float(objective @ self.q)
 
     def recover(self, u):
-        # The additions of np.add.at(x, src, v) in its order, first columns
-        # then second ones, at a fraction of its per-call cost.
-        v = self.signs * u
-        x = self.q + v[self.first]
-        if self.split.size:
-            x[self.split] += v[self.first[self.split] + 1]
-        return x
+        return self.q + u
 
 
 def _standardize(problem: LpProblem):
-    """Shift/split variables to u >= 0 and normalize rows to b >= 0.
+    """Shift the variables to u = x - lower >= 0 and normalize rows to b >= 0.
 
-    A variable with a lower bound becomes one column shifted by it, one
-    with only an upper bound one negated column, and a free variable a
-    ``+`` and a ``-`` column; both bounds add a "<=" row on the column.
+    Each finite upper bound adds a "<=" row on its column, and a row with
+    b < 0 is negated, so a negated "<=" row gets a slack of sign -1.
     Returns None when a variable's bounds cross (trivially infeasible).
     """
     lo, hi = problem.lower, problem.upper
-    has_lo, has_hi = lo > -np.inf, hi < np.inf
-    boxed = has_lo & has_hi
-    if np.any(boxed & (hi < lo - FEASIBILITY_TOL)):
+    if np.any(hi < lo - FEASIBILITY_TOL):
         return None
-    free = ~has_lo & ~has_hi
-    width = 1 + free
-    src = np.repeat(np.arange(problem.n_vars), width)
-    first = np.cumsum(width) - width
-    signs = np.ones(src.shape[0])
-    signs[first[~has_lo & has_hi]] = -1.0
-    signs[first[free] + 1] = -1.0
-    q = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-    upper_cols = first[boxed]
-    k = src.shape[0]
-
-    m0 = problem.A.shape[0]
+    upper_cols = np.flatnonzero(hi < np.inf)
+    m0, k = problem.A.shape
     m = m0 + upper_cols.shape[0]
     A = np.zeros((m, k))
     b = np.empty(m)
-    A[:m0] = problem.A[:, src]
-    A[:m0] *= signs
-    b[:m0] = problem.rhs - problem.A @ q
+    A[:m0] = problem.A
+    b[:m0] = problem.rhs - problem.A @ lo
     A[np.arange(m0, m), upper_cols] = 1.0
-    b[m0:] = (hi - lo)[boxed]
-    sense = np.concatenate([_sense(problem.relations), np.ones(m - m0)])
+    b[m0:] = (hi - lo)[upper_cols]
+    sense = np.ones(m)
+    sense[:m0] = problem.relations == LEQ
 
     flip = b < 0.0
     A[flip] = -A[flip]
     b[flip] = -b[flip]
     sense[flip] = -sense[flip]
 
-    return _Standard(A, b, sense, src, signs, q, first, np.flatnonzero(free))
+    # The memo makes its phase-1 arrays read-only, so q is not the caller's.
+    return _Standard(A, b, sense, lo.copy())
 
 
 def _run_simplex(tab, basis, ncols, work):
@@ -314,12 +303,21 @@ def _run_simplex(tab, basis, ncols, work):
         theta = ratios.item(p)
         np.less_equal(ratios, theta + 1e-12 * (1.0 + abs(theta)), out=tied)
         idx = tied.nonzero()[0]
-        # Ties go to the lowest basis index; an empty set (NaN ratios)
-        # raises in argmin, as it always has.
+        # Ties go to the lowest basis index.  A NaN ratio ties with no row,
+        # and once every positive ratio has overflowed every row ties.
         if idx.size != 1:
+            if not idx.size or theta == np.inf:
+                raise ArithmeticError(_OVERFLOW)
             p = int(idx[basis[idx].argmin()])
         _pivot(tab, basis, p, col, work, factors)
     raise ArithmeticError("simplex did not terminate within its pivot budget")
+
+
+def _check_finite(a):
+    """Raise ArithmeticError unless every entry of ``a`` is finite; min and max
+    see a NaN or an infinity without a temporary array."""
+    if a.size and not (math.isfinite(a.min()) and math.isfinite(a.max())):
+        raise ArithmeticError(_OVERFLOW)
 
 
 def _pivot(tab, basis, p, col, work, factors):
@@ -417,11 +415,8 @@ def _memo_key(problem):
     from the problem's shape and bounds alone, before any copy is made.
     """
     m0, nv = problem.A.shape
-    has_lo, has_hi = problem.lower > -np.inf, problem.upper < np.inf
-    boxed = int(np.count_nonzero(has_lo & has_hi))
-    m = m0 + boxed
-    k = 2 * nv - int(np.count_nonzero(has_lo | has_hi))
-    if m0 * nv + m * k + (m + 1) * (k + m + 1) > _MEMO_MAX_ELEMENTS:
+    m = m0 + int(np.count_nonzero(problem.upper < np.inf))
+    if m0 * nv + m * nv + (m + 1) * (nv + m + 1) > _MEMO_MAX_ELEMENTS:
         return None
     parts = (problem.A, problem.relations, problem.rhs, problem.lower, problem.upper)
     return (problem.A.shape,) + tuple(a.tobytes() for a in parts)
@@ -530,8 +525,8 @@ def _phase1(std):
     """
     m, k = std.A.shape
     # Columns: structural, one slack per inequality row (+1 for "<=", -1 for
-    # ">="), one artificial per "==" or ">=" row.  "<=" rows start on their
-    # slack, the others on their artificial.
+    # a negated "<=" row), one artificial per "==" or negated row.  "<=" rows
+    # start on their slack, the others on their artificial.
     slack_rows = np.flatnonzero(std.sense)
     art_rows = np.flatnonzero(std.sense <= 0.0)
     art_start = k + slack_rows.shape[0]
@@ -559,6 +554,7 @@ def _phase1(std):
             tab[-1] -= tab[i]
         tab[-1, art_start:ncols] = 0.0
         status, pivots = _run_simplex(tab, basis, ncols, work)
+        _check_finite(tab)
         if status != "optimal":
             raise ArithmeticError("phase-1 subproblem reported unbounded")
         phase1 = -tab[-1, -1]
@@ -597,14 +593,18 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     status, not by raising; only malformed input raises, and so does an
     optimum that fails its certificate: x must be feasible and the
     objective must agree with the dual objective to ``FEASIBILITY_TOL``
-    relative to it.  A singular final basis raises ``SingularBasisError``.
+    relative to it.  A singular final basis raises ``SingularBasisError``,
+    and a tableau or answer that overflowed raises ``ArithmeticError``.
     """
     key = _memo_key(problem)
     cost = problem.objective.tobytes()
     answer, start, keep = _memo_lookup(key, cost)
     if answer is not None:
         return _with_copies(answer)
-    sol, stored = _solve(problem, start, keep)
+    # Overflow shows as a non-finite tableau or answer, which raises; numpy
+    # need not warn too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol, stored = _solve(problem, start, keep)
     if key is not None:
         _memo_store(key, cost, sol, stored)
     return sol
@@ -651,6 +651,7 @@ def _solve(problem, start, keep):
     for p in cb.nonzero()[0]:
         tab[-1] -= cb[p] * tab[p]
     status, phase2_pivots = _run_simplex(tab, basis, ncols, work)
+    _check_finite(tab)
     pivots = (phase1_pivots, phase2_pivots)
     if status == "unbounded":
         return LpSolution(status=UNBOUNDED, pivots=pivots, phase1_reused=reused), stored
@@ -689,6 +690,8 @@ def _solve(problem, start, keep):
     value = float(problem.objective @ x)
     duals = -y_min
     dual_value = float(duals @ b_kept) + offset
+    if not (math.isfinite(value) and math.isfinite(dual_value)):
+        raise ArithmeticError(_OVERFLOW)
     _certify(problem, x, value, dual_value)
     return LpSolution(OPTIMAL, x, value, duals, dual_value, pivots, reused), stored
 
@@ -696,10 +699,9 @@ def _solve(problem, start, keep):
 def _certify(problem, x, value, dual_value):
     """Raise ArithmeticError unless x is feasible and the duality gap closes."""
     residual = problem.A @ x - problem.rhs
-    sense = _sense(problem.relations)
-    violation = np.where(sense == 0.0, np.abs(residual), sense * residual)
+    violation = np.where(problem.relations == EQ, np.abs(residual), residual)
     tol = FEASIBILITY_TOL * np.maximum(1.0, np.abs(problem.rhs))
-    bad = np.flatnonzero(violation > tol)
+    bad = np.flatnonzero(~(violation <= tol))  # a NaN residual fails too
     if bad.size:
         raise ArithmeticError(f"constraint {bad[0]} violated by {violation[bad[0]]:.3e}")
     bad = np.flatnonzero(x < problem.lower - FEASIBILITY_TOL)

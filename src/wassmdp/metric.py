@@ -73,7 +73,8 @@ class MetricSpace:
         if diag.max(initial=0.0) > AXIOM_TOL:
             i = int(np.argmax(diag))
             raise MetricError(f"dist[{i}][{i}] = {d.item(i, i)!r}, diagonal must be zero")
-        asym = np.abs(d - d.T)
+        with np.errstate(over="ignore"):  # opposite signs past the largest float differ by inf
+            asym = np.abs(d - d.T)
         if asym.max(initial=0.0) > AXIOM_TOL:
             i, j = np.unravel_index(int(np.argmax(asym)), d.shape)
             raise MetricError(

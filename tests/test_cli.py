@@ -512,6 +512,22 @@ class TestRuntimeErrors:
         assert err.endswith(", the values overflow\n") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_overflowing_lp_exit_1(self, tmp_path, capsys):
+        # Distances near the largest float load, but the transport LPs of a
+        # fit overflow on them.
+        reward = [[0.0], [1.0], [0.5]]
+        transition = [[[0.5, 0.5, 0.0]], [[0.0, 0.5, 0.5]], [[0.5, 0.0, 0.5]]]
+        mdp = _file(tmp_path, "m.json", _mdp_doc(space={"dist": _HUGE}, reward=reward, transition=transition))
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, "c.json", {"mdp": mdp, "kinds": ["kl", "wasserstein", "vaml"], "iters": 2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("run", "compare", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {lp._OVERFLOW}\n"
+        assert "overflowed" in lp._OVERFLOW
+        assert not out.exists()
+
     def test_singular_basis_exit_1(self, tmp_path, capsys, monkeypatch):
         def singular(a, b):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -537,6 +553,8 @@ _MESSAGES = {
     "diagonal": (lambda d: MetricSpace.from_matrix([[0.5, 1.0], [1.0, 0.0]]), "dist[0][0] = 0.5, diagonal must be zero"),
     "asymmetric": (lambda d: MetricSpace.from_matrix([[0.0, 1.0], [2.0, 0.0]]),
                    "asymmetric distances for pair (0, 1): 1.0 vs 2.0"),
+    "asymmetric_past_the_largest_float": (lambda d: MetricSpace.from_matrix([[0.0, 1e308], [-1e308, 0.0]]),
+                                          "asymmetric distances for pair (0, 1): 1e+308 vs -1e+308"),
     "negative_probability": (lambda d: Distribution([1.1, -0.1]), "negative probability -0.1 at index 1"),
     "probability_sum": (lambda d: Distribution([0.6, 0.5]), "probabilities sum to 1.1, expected 1"),
     "coupling_entry": (lambda d: Coupling([[-0.1, 0.6], [0.6, -0.1]], [0.5, 0.5], [0.5, 0.5]),

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wassmdp import learner, lp, suites, transport
 from wassmdp.mdp import generate_lipschitz_mdp
@@ -15,7 +16,7 @@ from wassmdp.mdp import generate_lipschitz_mdp
 INF = np.inf
 
 
-def solve(objective, A, relations, rhs, lower=-INF, upper=INF):
+def solve(objective, A, relations, rhs, lower=0.0, upper=INF):
     return lp.solve_lp(lp.LpProblem(objective, A, relations, rhs, lower, upper))
 
 
@@ -43,21 +44,19 @@ class TestBasics:
         assert sol.x[1] == pytest.approx(2.0, abs=1e-9)
         assert sol.objective_value == pytest.approx(4.0, abs=1e-9)
 
-    def test_free_variables(self):
-        sol = solve([-1.0, -1.0], np.eye(2), [lp.GEQ, lp.GEQ], [-3.0, 2.0])
-        assert sol.status == lp.OPTIMAL
-        assert sol.x[0] == pytest.approx(-3.0, abs=1e-9)
-        assert sol.x[1] == pytest.approx(2.0, abs=1e-9)
-
     def test_negative_rhs_normalization(self):
-        sol = solve([1.0], [[-1.0]], [lp.GEQ], [-4.0], lower=0.0)
+        # x >= 4 as -x <= -4: the row is negated to b >= 0, with a slack of
+        # sign -1 and an artificial.
+        sol = solve([-1.0], [[-1.0]], [lp.LEQ], [-4.0])
         assert sol.status == lp.OPTIMAL
         assert sol.x[0] == pytest.approx(4.0, abs=1e-9)
+        assert sol.pivots == (1, 0)
 
 
 class TestStatuses:
     def test_infeasible_rows(self):
-        sol = solve([1.0], [[1.0], [1.0]], [lp.LEQ, lp.GEQ], [1.0, 2.0])
+        # x <= 1 and x >= 2, the latter as -x <= -2.
+        sol = solve([1.0], [[1.0], [-1.0]], [lp.LEQ, lp.LEQ], [1.0, -2.0])
         assert sol.status == lp.INFEASIBLE
         assert sol.x is None
 
@@ -71,15 +70,13 @@ class TestStatuses:
         sol = solve([0.0, 0.0], np.zeros((0, 2)), [], [])
         assert sol.status == lp.OPTIMAL
         assert np.array_equal(sol.x, [0.0, 0.0])
-        assert solve([0.0, -1.0], np.zeros((0, 2)), [], [], upper=3.0).status == lp.UNBOUNDED
+        assert solve([0.0, 1.0], np.zeros((0, 2)), [], [], upper=[3.0, INF]).status == lp.UNBOUNDED
 
     def test_unbounded(self):
-        sol = solve([1.0], [[1.0]], [lp.GEQ], [0.0], lower=0.0)
+        # x >= 1 as -x <= -1, and nothing bounds x above.
+        sol = solve([1.0], [[-1.0]], [lp.LEQ], [-1.0])
         assert sol.status == lp.UNBOUNDED
-
-    def test_unbounded_free_direction(self):
-        sol = solve([0.0, 1.0], [[1.0, 0.0]], [lp.LEQ], [1.0])
-        assert sol.status == lp.UNBOUNDED
+        assert sol.x is None
 
 
 class TestMalformedInput:
@@ -108,11 +105,18 @@ class TestMalformedInput:
             lp.LpProblem([1.0], [[1.0], [2.0]], [lp.LEQ], [1.0, 1.0])
 
     def test_bad_relation(self):
-        with pytest.raises(ValueError, match="relation '<'"):
-            lp.LpProblem([1.0], [[1.0], [1.0]], [lp.LEQ, "<"], [1.0, 1.0])
+        for relation in ("<", ""):
+            with pytest.raises(ValueError, match=f"constraint 1 has relation '{relation}', not"):
+                lp.LpProblem([1.0], [[1.0], [1.0]], [lp.LEQ, relation], [1.0, 1.0])
+
+    def test_geq_row(self):
+        # A ">=" row is posed as the "<=" row of its negation.
+        with pytest.raises(ValueError, match="constraint 1 has relation '>=', not '<=' or '=='"):
+            lp.LpProblem([1.0], [[1.0], [1.0]], [lp.LEQ, ">="], [1.0, 1.0])
 
     @pytest.mark.parametrize(
-        "lower, upper", [([0.0, np.nan], INF), (0.0, [1.0, np.nan]), ([0.0, INF], INF), (0.0, [1.0, -INF])]
+        "lower, upper",
+        [([0.0, np.nan], INF), (0.0, [1.0, np.nan]), ([0.0, INF], INF), (0.0, [1.0, -INF]), ([0.0, -INF], INF)],
     )
     def test_nan_or_misplaced_infinite_bound(self, lower, upper):
         with pytest.raises(ValueError, match="bound for variable 1"):
@@ -121,6 +125,66 @@ class TestMalformedInput:
     def test_wrong_bound_count(self):
         with pytest.raises(ValueError, match="bound"):
             lp.LpProblem([1.0, 1.0], np.zeros((0, 2)), [], [], lower=[0.0, 0.0, 0.0])
+
+
+# Entries at the edges of the float range: finite ones the LP accepts, and
+# the non-finite ones it rejects.
+FINITE = st.sampled_from([1.0, -1.0, 2.0, 0.5, -2.0, 3.0, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300])
+VALUES = FINITE | st.sampled_from([np.nan, INF, -INF])
+
+
+@st.composite
+def lp_inputs(draw):
+    """The arguments of an LpProblem with at most 4 variables and 4 rows."""
+    nv, m = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    # Half the LPs have finite entries only, so that many reach the solver.
+    values = draw(st.sampled_from([FINITE, VALUES]))
+    objective = draw(st.lists(values, min_size=nv, max_size=nv))
+    A = np.array(draw(st.lists(values, min_size=m * nv, max_size=m * nv))).reshape(m, nv)
+    codes = st.sampled_from(["<=", "==", "<=", "==", ">=", "<", ""])
+    relations = draw(st.lists(codes, min_size=m, max_size=m))
+    rhs = draw(st.lists(values, min_size=m, max_size=m))
+    # A bound is left out (the default), one value, one per variable, or a
+    # list of any length, which may not broadcast.
+    bound = st.none() | values | st.lists(values, min_size=nv, max_size=nv) | st.lists(values, max_size=5)
+    bounds = {name: value for name in ("lower", "upper") if (value := draw(bound)) is not None}
+    return objective, A, relations, rhs, bounds
+
+
+class TestContract:
+    # Whatever the input, LpProblem builds or raises ValueError, and solve_lp
+    # returns a status with x present exactly when optimal or raises
+    # ArithmeticError, and numpy prints no warning.  Optimality is not
+    # asserted here.
+    @settings(derandomize=True, max_examples=400)
+    @given(lp_inputs())
+    # Crossed bounds are infeasible, not malformed.
+    @example(([1.0], np.zeros((0, 1)), [], [], {"lower": 2.0, "upper": 1.0}))
+    # Products past the largest float: rhs - A @ lower is -inf.
+    @example(([1.0], [[1e300]], ["<="], [1.0], {"lower": 1e300}))
+    # Phase 1 meets a NaN ratio, which ties with no row.
+    @example(([-1e-300, -1e-300], [[-1e300, -1e300]], ["=="], [-1e-300], {"lower": [-1e300, 0.0], "upper": 2.0}))
+    # The one positive ratio, 1e300 / 1e-9, overflows to inf, so every row ties.
+    @example(([1.0], [[1e-9], [-1.0]], ["<=", "<="], [1e300, 1.0], {}))
+    # An objective of 1e300 on x = 1e300 overflows the tableau's cost row.
+    @example(([1e300, 1e300], [[1.0, 1.0]], ["<="], [1e300], {}))
+    def test_builds_or_raises_and_solves_or_raises(self, inputs):
+        objective, A, relations, rhs, bounds = inputs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                problem = lp.LpProblem(objective, A, relations, rhs, **bounds)
+            except ValueError:
+                return
+            try:
+                sol = lp.solve_lp(problem)
+            except ArithmeticError:
+                return
+        if sol.status == lp.OPTIMAL:
+            assert sol.x.shape == (problem.n_vars,)
+        else:
+            assert sol.status in (lp.INFEASIBLE, lp.UNBOUNDED)
+            assert sol.x is None
 
 
 def enumerate_vertex_optimum(A, b, c):
@@ -208,8 +272,11 @@ class TestSolutionContracts:
         rhs = np.empty(nc)
         for i in range(nc):  # each row's coefficients, relation and rhs in turn
             A[i] = rng.normal(size=nv)
-            relations.append(rng.choice([lp.LEQ, lp.GEQ, lp.EQ], p=[0.5, 0.3, 0.2]))
+            relation = rng.choice(["<=", ">=", "=="], p=[0.5, 0.3, 0.2])
             rhs[i] = rng.normal()
+            if relation == ">=":  # posed as the negated "<=" row
+                A[i], rhs[i], relation = -A[i], -rhs[i], lp.LEQ
+            relations.append(relation)
         upper = rng.uniform(0.5, 3.0, nv)
         return lp.LpProblem(rng.normal(size=nv), A, relations, rhs, 0.0, upper)
 
@@ -225,7 +292,6 @@ class TestSolutionContracts:
             lhs = problem.A @ sol.x
             rel, rhs = problem.relations, problem.rhs
             assert np.all(lhs[rel == lp.LEQ] <= rhs[rel == lp.LEQ] + 1e-9)
-            assert np.all(lhs[rel == lp.GEQ] >= rhs[rel == lp.GEQ] - 1e-9)
             assert np.all(np.abs(lhs - rhs)[rel == lp.EQ] <= 1e-9)
             assert np.all(sol.x >= problem.lower - 1e-9)
             assert np.all(sol.x <= problem.upper + 1e-9)
@@ -282,8 +348,10 @@ class TestSolutionContracts:
             # Phase 1 starts optimal with the artificial basic at level 0;
             # the one pivot is the drive-out that brings x1 in.
             ([0.0, 0.0], [[-1.0, -1.0]], [lp.EQ], [0.0], 0.0, lp.OPTIMAL, (1, 0)),
-            ([1.0], [[1.0], [1.0]], [lp.LEQ, lp.GEQ], [1.0, 2.0], -INF, lp.INFEASIBLE, (1, 0)),
-            ([1.0], [[1.0]], [lp.GEQ], [0.0], 0.0, lp.UNBOUNDED, (1, 0)),
+            # The second row, x >= 2 as -x <= -2, is negated and starts
+            # on an artificial.
+            ([1.0], [[1.0], [-1.0]], [lp.LEQ, lp.LEQ], [1.0, -2.0], 0.0, lp.INFEASIBLE, (1, 0)),
+            ([1.0], [[-1.0]], [lp.LEQ], [-1.0], 0.0, lp.UNBOUNDED, (1, 0)),
         ],
         ids=["phase-2-only", "both-phases", "drive-out", "infeasible", "unbounded"],
     )
@@ -353,11 +421,16 @@ def with_objective(problem, objective):
     return lp.LpProblem(objective, problem.A, problem.relations, problem.rhs, problem.lower, problem.upper)
 
 
+def without_upper(problem):
+    """The same rows on variables bounded below alone, where unbounded LPs occur."""
+    return lp.LpProblem(problem.objective, problem.A, problem.relations, problem.rhs, problem.lower)
+
+
 def shared_constraint_groups():
     """Groups of LPs that share their constraints and differ in the objective.
 
-    Random boxed LPs (optimal or phase-1 infeasible), the same rows on free
-    variables (unbounded ones too), a redundant equality row, a drive-out
+    Random boxed LPs (optimal or phase-1 infeasible), the same rows with
+    no upper bounds (unbounded ones too), a redundant equality row, a drive-out
     pivot, and the W1 duals of one space and primals of one pair of
     marginals under several metrics.
     """
@@ -367,7 +440,7 @@ def shared_constraint_groups():
         base = TestSolutionContracts._random_problem(rng)
         groups.append([with_objective(base, rng.normal(size=base.n_vars)) for _ in range(4)])
     for group in groups[:30]:
-        groups.append([lp.LpProblem(p.objective, p.A, p.relations, p.rhs) for p in group])
+        groups.append([without_upper(p) for p in group])
     redundant = lp.LpProblem([-1.0, -2.0], [[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]],
                              [lp.EQ, lp.EQ, lp.LEQ], [2.0, 2.0, 1.0], 0.0)
     drive_out = lp.LpProblem([0.0, 0.0], [[-1.0, -1.0]], [lp.EQ], [0.0], 0.0)
@@ -403,7 +476,7 @@ def memo_arrays():
     for start, answers, _ in lp._memo.values():
         if start is not None:
             std = start.std
-            arrays += [std.A, std.b, std.sense, std.src, std.signs, std.q, std.first, std.split, start.slack_rows]
+            arrays += [std.A, std.b, std.sense, std.q, start.slack_rows]
             if start.tab is not None:
                 arrays += [start.tab, start.basis, start.kept]
         for sol in answers.values():
@@ -430,7 +503,7 @@ def entries_held():
         own = sum(len(part) for part in key[2:]) // 8
         if start is not None:
             std = start.std
-            parts = (std.A, std.b, std.sense, std.src, std.signs, std.q, std.first, std.split)
+            parts = (std.A, std.b, std.sense, std.q)
             parts += (start.slack_rows, start.tab, start.basis, start.kept)
             own += sum(a.size for a in parts if a is not None)
         own += sum(answer_held(cost, sol) for cost, sol in answers.items())
@@ -478,9 +551,10 @@ class TestPhase1Memo:
 
     def test_reused_exactly_on_hits(self, monkeypatch):
         # One constraint set per status: optimal, phase-1 infeasible and
-        # (on free variables) unbounded; the flag must follow hits in each.
-        a = lp.LpProblem([1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [lp.LEQ, lp.GEQ], [4.0, 1.0], 0.0, 3.0)
-        b = lp.LpProblem([1.0, -1.0], [[1.0, 1.0], [1.0, 1.0]], [lp.LEQ, lp.GEQ], [1.0, 2.0], 0.0)
+        # (with x0 unbounded above) unbounded; the flag must follow hits in
+        # each.  Each ">=" row is posed as its negated "<=" row.
+        a = lp.LpProblem([1.0, 1.0], [[1.0, 2.0], [-3.0, -1.0]], [lp.LEQ, lp.LEQ], [4.0, -1.0], 0.0, 3.0)
+        b = lp.LpProblem([1.0, -1.0], [[1.0, 1.0], [-1.0, -1.0]], [lp.LEQ, lp.LEQ], [1.0, -2.0], 0.0)
         c = lp.LpProblem([1.0, 0.0], [[0.0, 1.0]], [lp.LEQ], [1.0])
         calls = []
         standardize = lp._standardize
@@ -491,7 +565,7 @@ class TestPhase1Memo:
 
         monkeypatch.setattr(lp, "_standardize", counting)
         sequence = [a, b, c, with_objective(a, [2.0, -1.0]), a, with_objective(b, [0.0, 1.0])]
-        sequence += [with_objective(c, [-1.0, 1.0]), with_objective(c, [0.0, 1.0]), with_objective(b, [1.0, 0.0])]
+        sequence += [with_objective(c, [1.0, -1.0]), with_objective(c, [0.0, 1.0]), with_objective(b, [1.0, 0.0])]
         sequence += [with_objective(a, [0.0, 1.0]), with_objective(c, [1.0, 1.0])]
         sequence += [lp.LpProblem(a.objective, a.A, a.relations, a.rhs + 1e-9, a.lower, a.upper)]
         sequence += [lp.LpProblem(a.objective, a.A, a.relations, a.rhs, a.lower, a.upper + 0.5)]
@@ -542,7 +616,7 @@ class TestPhase1Memo:
         edits = [
             lambda p: p.A.__setitem__((0, 1), p.A[0, 1] + 0.25),
             lambda p: p.rhs.__setitem__(0, p.rhs[0] - 0.5),
-            lambda p: p.relations.__setitem__(0, lp.GEQ if p.relations[0] != lp.GEQ else lp.LEQ),
+            lambda p: p.relations.__setitem__(0, lp.EQ if p.relations[0] != lp.EQ else lp.LEQ),
             lambda p: p.lower.__setitem__(1, -1.0),
             lambda p: p.upper.__setitem__(0, 0.25),
         ]
@@ -726,8 +800,8 @@ class TestAnswerMemo:
         assert not lp._memo and lp._memo_held == 0
 
     def test_objective_one_ulp_or_zero_sign_away_misses(self):
-        base = lp.LpProblem([1.0, 0.0, 2.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], [lp.LEQ, lp.GEQ],
-                            [3.0, -1.0], 0.0, 2.0)
+        base = lp.LpProblem([1.0, 0.0, 2.0], [[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0]], [lp.LEQ, lp.LEQ],
+                            [3.0, 1.0], 0.0, 2.0)
         variants = [
             [np.nextafter(1.0, 2.0), 0.0, 2.0],
             [1.0, 0.0, np.nextafter(2.0, 0.0)],
@@ -937,8 +1011,8 @@ class TestBlockPivot:
     def test_random_lps_match_dense_path_bytewise(self, monkeypatch):
         rng = np.random.default_rng(43)
         problems = [TestSolutionContracts._random_problem(rng) for _ in range(200)]
-        # The same rows on free variables add split columns and unbounded LPs.
-        problems += [lp.LpProblem(p.objective, p.A, p.relations, p.rhs) for p in problems[:60]]
+        # The same rows without upper bounds add unbounded LPs.
+        problems += [without_upper(p) for p in problems[:60]]
         # 40 rows on 100 boxed variables make 140 standard-form rows and a
         # tableau of 32k-37k elements, which the default gate sends through
         # the block update.
@@ -1034,7 +1108,7 @@ class TestBlasPivot:
     def test_random_lps_match_multiply_pivot_bytewise(self, monkeypatch):
         rng = np.random.default_rng(73)
         problems = [TestSolutionContracts._random_problem(rng) for _ in range(200)]
-        problems += [lp.LpProblem(p.objective, p.A, p.relations, p.rhs) for p in problems[:60]]
+        problems += [without_upper(p) for p in problems[:60]]
         problems += [TestSolutionContracts._random_problem(rng, 100, 40) for _ in range(3)]
         sizes, tableaux = [], []
         pivot, run_simplex, default = lp._pivot, lp._run_simplex, lp._BLOCK_MIN_SIZE
@@ -1169,27 +1243,16 @@ def reference_pivot(tab, basis, p, col, work, factors=None):
     basis[p] = col
 
 
-def reference_recover(std, u):
-    """_Standard.recover as np.add.at computed it, verbatim."""
-    x = std.q.copy()
-    np.add.at(x, std.src, std.signs * u)
-    return x
-
-
 def random_family():
-    """Random boxed LPs, optimal or infeasible; the same rows on free
-    variables, where unbounded LPs occur; and LPs without standard-form rows."""
+    """Random boxed LPs, optimal or infeasible; the same rows without upper
+    bounds, where unbounded LPs occur; and LPs without standard-form rows."""
     rng = np.random.default_rng(47)
     problems = [TestSolutionContracts._random_problem(rng) for _ in range(200)]
-    problems += [lp.LpProblem(p.objective, p.A, p.relations, p.rhs) for p in problems[:60]]
+    problems += [without_upper(p) for p in problems[:60]]
     none = np.zeros((0, 2))
     problems += [
-        lp.LpProblem([1.0, -1.0], none, [], [], lower=0.0),  # unbounded
-        lp.LpProblem([-1.0, -2.0], none, [], [], lower=0.0),
-        lp.LpProblem([0.0, 0.0], none, [], []),  # two split free variables
-        lp.LpProblem([-1.0, 1.0], none, [], [], lower=[-INF, 1.0], upper=[2.0, INF]),
-        # x = (-0.0, 0.0): recover must add in np.add.at's order to keep the sign.
-        lp.LpProblem([1.0, -1.0], none, [], [], lower=[-INF, -0.0], upper=[-0.0, INF]),
+        lp.LpProblem([1.0, -1.0], none, [], []),  # unbounded
+        lp.LpProblem([-1.0, -2.0], none, [], []),
     ]
     return problems
 
@@ -1223,12 +1286,12 @@ def loop_problems():
 
 class TestPivotLoop:
     def test_matches_reference_loop_bytewise(self, monkeypatch, loop_problems):
-        # The reference runs the old loop, pivot and recover; both runs must
+        # The reference runs the old loop and pivot; both runs must
         # make the same Bland pivots, return the same bits and leave each
         # phase's final tableau equal up to the sign of a zero.
         assert any(lp._standardize(p).A.shape[0] == 0 for p in loop_problems)
-        new_parts = (lp._run_simplex, lp._pivot, lp._Standard.recover)
-        old_parts = (reference_run_simplex, reference_pivot, reference_recover)
+        new_parts = (lp._run_simplex, lp._pivot)
+        old_parts = (reference_run_simplex, reference_pivot)
         state = {}
 
         def recording_run(tab, basis, ncols, work):
@@ -1257,7 +1320,6 @@ class TestPivotLoop:
             monkeypatch.setattr(lp, "_BLOCK_MIN_SIZE", gate)
             monkeypatch.setattr(lp, "_run_simplex", recording_run)
             monkeypatch.setattr(lp, "_pivot", parts[1])
-            monkeypatch.setattr(lp._Standard, "recover", parts[2])
             solutions = []
             for problem in loop_problems:
                 state["std"] = lp._standardize(problem)
@@ -1315,26 +1377,12 @@ class TestPivotLoop:
 
 def standardize_by_rows(problem):
     """Variable-by-variable, row-by-row reference for lp._standardize."""
-    src, signs, q, upper = [], [], np.zeros(problem.n_vars), []
-    for j, (lo, hi) in enumerate(zip(problem.lower, problem.upper)):
-        if lo > -INF:
-            if hi < INF:
-                upper.append((len(src), hi - lo))
-            src.append(j)
-            signs.append(1.0)
-            q[j] = lo
-        elif hi < INF:
-            src.append(j)
-            signs.append(-1.0)
-            q[j] = hi
-        else:
-            src += [j, j]
-            signs += [1.0, -1.0]
-    rows = [np.array([a[j] * s for j, s in zip(src, signs)]) for a in problem.A]
-    b = list(problem.rhs - problem.A @ q)
-    sense = [{lp.LEQ: 1.0, lp.EQ: 0.0, lp.GEQ: -1.0}[r] for r in problem.relations]
+    upper = [(j, hi - lo) for j, (lo, hi) in enumerate(zip(problem.lower, problem.upper)) if hi < INF]
+    rows = [a.copy() for a in problem.A]
+    b = list(problem.rhs - problem.A @ problem.lower)
+    sense = [{lp.LEQ: 1.0, lp.EQ: 0.0}[r] for r in problem.relations]
     for col, ub in upper:
-        row = np.zeros(len(src))
+        row = np.zeros(problem.n_vars)
         row[col] = 1.0
         rows.append(row)
         b.append(ub)
@@ -1342,8 +1390,8 @@ def standardize_by_rows(problem):
     for i in range(len(b)):
         if b[i] < 0.0:
             rows[i], b[i], sense[i] = -rows[i], -b[i], -sense[i]
-    A = np.array(rows).reshape(len(b), len(src))
-    return A, np.array(b), np.array(sense), np.array(src), np.array(signs), q
+    A = np.array(rows).reshape(len(b), problem.n_vars)
+    return A, np.array(b), np.array(sense), problem.lower
 
 
 class TestStandardForm:
@@ -1351,15 +1399,17 @@ class TestStandardForm:
         rng = np.random.default_rng(59)
         for _ in range(40):
             nv, m = int(rng.integers(1, 6)), int(rng.integers(0, 5))
-            kind = rng.integers(0, 4, size=nv)  # lower only, upper only, both, free
-            lower = np.where(kind % 2 == 0, rng.uniform(-2.0, 1.0, nv), -INF)
-            upper = np.where((kind == 1) | (kind == 2), rng.uniform(-1.0, 3.0, nv), INF)
-            lower[kind == 2] = np.minimum(lower, upper)[kind == 2]
-            relations = rng.choice([lp.LEQ, lp.EQ, lp.GEQ], size=m)
+            boxed = rng.random(nv) < 0.5  # a lower bound alone, or both bounds
+            lower = rng.uniform(-2.0, 1.0, nv)
+            upper = np.where(boxed, rng.uniform(-1.0, 3.0, nv), INF)
+            lower[boxed] = np.minimum(lower, upper)[boxed]
+            relations = rng.choice([lp.LEQ, lp.EQ], size=m)
             A, rhs = rng.normal(size=(m, nv)), rng.normal(size=m)
             problem = lp.LpProblem(rng.normal(size=nv), A, relations, rhs, lower, upper)
             std = lp._standardize(problem)
-            parts = (std.A, std.b, std.sense, std.src, std.signs, std.q)
+            parts = (std.A, std.b, std.sense, std.q)
             for got, want in zip(parts, standardize_by_rows(problem)):
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)
+            # The memo makes q read-only; the caller's bounds stay writable.
+            assert not np.shares_memory(std.q, problem.lower)
