@@ -12,7 +12,7 @@ cell losses; a VAML cell's is ``vaml.cell_loss``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,25 +158,27 @@ def _resolve_c(mdp, kind) -> float | None:
     return value_lipschitz_bound(mdp).c
 
 
-def _pair_loss(mdp, kind, c, s, a, m_row) -> float:
+def _pair_loss(mdp, kind, c, s, a, m_dist) -> float:
     t_dist = mdp.transition_dist(s, a)
     if kind.kind == "kl":
         try:
-            return kl_divergence(t_dist, Distribution(m_row))
+            return kl_divergence(t_dist, m_dist)
         except SupportViolationError:
             # A model row that underflowed to zero where the true row has
             # mass; the infinite loss makes the line search halve its step.
             return np.inf
     if kind.kind == "wasserstein":
-        w, _ = wasserstein_primal(t_dist, Distribution(m_row), mdp.space)
+        w, _ = wasserstein_primal(t_dist, m_dist, mdp.space)
         return w
-    return cell_loss(t_dist, m_row, mdp.space, c)[0]
+    return cell_loss(t_dist, m_dist, mdp.space, c)[0]
 
 
-def _cell_losses(mdp, kind, c, that) -> np.ndarray:
-    """The loss of every (s, a) cell, indexed [s, a]."""
+def _cell_losses(mdp, kind, c, model) -> np.ndarray:
+    """The loss of every (s, a) cell of the model kernel ``model``, indexed [s, a]."""
     n, m = mdp.n_states, mdp.n_actions
-    return np.array([[_pair_loss(mdp, kind, c, s, a, that[s, a]) for a in range(m)] for s in range(n)])
+    return np.array(
+        [[_pair_loss(mdp, kind, c, s, a, model.transition_dist(s, a)) for a in range(m)] for s in range(n)]
+    )
 
 
 def _mean(cells) -> float:
@@ -188,12 +190,10 @@ def _mean(cells) -> float:
 
 
 def aggregate_loss(mdp: FiniteMdp, model, kind: LossKind) -> float:
-    """Mean over all (s, a) of the chosen divergence between true and model rows."""
-    if hasattr(model, "transition_tensor"):
-        that = model.transition_tensor()
-    else:
-        that = np.asarray(model, dtype=float)
-    return _mean(_cell_losses(mdp, kind, _resolve_c(mdp, kind), that))
+    """Mean over all (s, a) of the chosen divergence between true and model rows;
+    ``model`` is a fitted model or an (n, m, n) tensor."""
+    that = model.transition_tensor() if hasattr(model, "transition_tensor") else model
+    return _mean(_cell_losses(mdp, kind, _resolve_c(mdp, kind), replace(mdp, transition=that)))
 
 
 @dataclass(frozen=True)
@@ -215,8 +215,8 @@ class FitConfig:
     def __post_init__(self):
         if self.iters < 1:
             raise ValueError("iters must be at least 1")
-        if not (self.step_size > 0.0):
-            raise ValueError("step_size must be positive")
+        if not (0.0 < self.step_size < np.inf):
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size!r}")
         if self.seed < 0:
             raise ValueError("seed must be at least 0")
         if self.log_every < 1:
@@ -271,7 +271,7 @@ def _summed_loss(mdp, kind, c, model) -> float:
         # Non-finite logits give NaN rows, which no loss takes: a NaN loss
         # makes the fit report divergence or halve its step.
         return np.nan
-    cells = _cell_losses(mdp, kind, c, that)
+    cells = _cell_losses(mdp, kind, c, replace(mdp, transition=that))
     return _mean(cells) * cells.size  # not the bare total: the line search's bits depend on it
 
 
@@ -291,9 +291,9 @@ def _fd_gradient_full(mdp, kind, c, model) -> np.ndarray:
             for j in range(n):
                 z = logits[s, a].copy()
                 z[j] += _FD_EPSILON
-                hi = _pair_loss(mdp, kind, c, s, a, _softmax(z))
+                hi = _pair_loss(mdp, kind, c, s, a, Distribution(_softmax(z)))
                 z[j] -= 2.0 * _FD_EPSILON
-                lo = _pair_loss(mdp, kind, c, s, a, _softmax(z))
+                lo = _pair_loss(mdp, kind, c, s, a, Distribution(_softmax(z)))
                 grad[s, a, j] = (hi - lo) / (2.0 * _FD_EPSILON)
     return grad
 
@@ -319,9 +319,8 @@ def _gradient(mdp, kind, c, model) -> np.ndarray:
     return _fd_gradient_flat(mdp, kind, c, model)
 
 
-def _planning_gap(mdp, that) -> float:
-    model_mdp = FiniteMdp(mdp.space, mdp.reward, that, mdp.gamma)
-    policy = greedy_policy(gvi(model_mdp, MAX).q)
+def _planning_gap(mdp, model) -> float:
+    policy = greedy_policy(gvi(model, MAX).q)
     v_policy = evaluate_policy(mdp, policy).values
     v_star = gvi(mdp, MAX).v.values
     return float(np.abs(v_star - v_policy).max())
@@ -391,14 +390,14 @@ def fit_model(
     if snapshots[-1][0] != iterations:
         snapshots.append((iterations, model))
 
-    that = model.transition_tensor()
+    kernel = replace(mdp, transition=model.transition_tensor())
     return TrainReport(
         kind=kind,
         config=config,
         loss_curve=np.asarray(curve),
         final_model=model,
-        per_cell_losses=_cell_losses(mdp, kind, c, that),
-        planning_gap=_planning_gap(mdp, that),
+        per_cell_losses=_cell_losses(mdp, kind, c, kernel),
+        planning_gap=_planning_gap(mdp, kernel),
         snapshots=tuple(snapshots),
         iterations_run=iterations,
         stopped_early=stopped_early,

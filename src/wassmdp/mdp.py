@@ -20,10 +20,9 @@ from .metric import (
     space_from_json,
     uniform_lipschitz_constant,
 )
-from .transport import Distribution, wasserstein_primal
+from .transport import PROB_TOL, Distribution, wasserstein_primal
 
 ROW_SUM_TOL = 1e-9   # acceptance tolerance for rows read from files
-_EXACT_TOL = 1e-12   # rows kept verbatim when already this close
 
 
 class MdpFormatError(ValueError):
@@ -35,10 +34,13 @@ class FiniteMdp:
     """States with a metric, actions, rewards, transition tensor, discount.
 
     ``transition[s, a]`` is the next-state distribution for taking action
-    ``a`` in state ``s``.  The MDP measures its own kernel and reward
-    Lipschitz constants, K_W and K_R, on first read and keeps them; they
-    are not fields, so no caller can set them and a copy made with
-    ``dataclasses.replace`` measures its own.
+    ``a`` in state ``s``.  Construction checks each row once, as the
+    ``Distribution`` that ``transition_dist(s, a)`` returns, and a bad row
+    fails naming its state and action.  A model kernel is an MDP too:
+    ``dataclasses.replace(mdp, transition=model_tensor)``.  The MDP
+    measures its own kernel and reward Lipschitz constants, K_W and K_R,
+    on first read and keeps them; they are not fields, so no caller can
+    set them and a copy made with ``dataclasses.replace`` measures its own.
     """
 
     space: MetricSpace
@@ -59,18 +61,13 @@ class FiniteMdp:
             raise ValueError(f"transition must have shape {(n, m, n)}, got {t.shape}")
         if not np.all(np.isfinite(r)):
             raise ValueError("reward matrix contains non-finite entries")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("transition tensor contains non-finite entries")
-        if t.min() < 0.0:
-            s, a, _ = np.unravel_index(int(np.argmin(t)), t.shape)
-            raise ValueError(f"negative transition probability at state {s}, action {a}")
-        sums = t.sum(axis=2)
-        err = np.abs(sums - 1.0)
-        if err.max() > _EXACT_TOL:
-            s, a = np.unravel_index(int(np.argmax(err)), err.shape)
-            raise ValueError(
-                f"transition row for state {s}, action {a} sums to {sums[s, a].item()!r}"
-            )
+        rows = []
+        for s in range(n):
+            for a in range(m):
+                try:
+                    rows.append(Distribution(t[s, a]))
+                except ValueError as exc:
+                    raise ValueError(f"transition row for state {s}, action {a}: {exc}") from exc
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma!r}")
         r.setflags(write=False)
@@ -78,6 +75,7 @@ class FiniteMdp:
         object.__setattr__(self, "reward", r)
         object.__setattr__(self, "transition", t)
         object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "_rows", tuple(rows))
 
     @property
     def n_states(self) -> int:
@@ -87,13 +85,13 @@ class FiniteMdp:
     def n_actions(self) -> int:
         return self.reward.shape[1]
 
-    @functools.cached_property
-    def _transition_dists(self) -> tuple:
-        return tuple(tuple(map(Distribution, rows)) for rows in self.transition)
-
     def transition_dist(self, s: int, a: int) -> Distribution:
-        """The row ``transition[s, a]`` as a Distribution, built once per MDP."""
-        return self._transition_dists[s][a]
+        """The row ``transition[s, a]`` as the Distribution checked at construction."""
+        if not 0 <= s < self.n_states:
+            raise IndexError(f"state {s} out of range [0, {self.n_states})")
+        if not 0 <= a < self.n_actions:
+            raise IndexError(f"action {a} out of range [0, {self.n_actions})")
+        return self._rows[s * self.n_actions + a]
 
     @functools.cached_property
     def measured_kernel_constant(self) -> float:
@@ -298,7 +296,7 @@ def load_mdp(path) -> FiniteMdp:
         if (err > ROW_SUM_TOL).any():
             s, a, _ = np.argwhere(err > ROW_SUM_TOL)[0]
             raise MdpFormatError(f"transition[{s}][{a}]: probabilities sum to {sums[s, a, 0].item()!r}")
-        transition = np.where(err > _EXACT_TOL, transition / sums, transition)
+        transition = np.where(err > PROB_TOL, transition / sums, transition)
     try:
         mdp = FiniteMdp(space, reward, transition, gamma)
     except ValueError as exc:

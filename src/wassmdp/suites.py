@@ -9,7 +9,7 @@ execution order and any failure can be regenerated standalone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -377,7 +377,7 @@ def lemmas_suite(
         mdp = FiniteMdp(space, np.zeros((n, 1)), transition, float(rng.uniform(0.1, 0.99)))
         v = rng.uniform(-3.0, 3.0, size=n)
         s = int(rng.integers(0, n))
-        err, l1, klb = holder_pinsker_bounds(mdp, that, v, s, 0)
+        err, l1, klb = holder_pinsker_bounds(mdp, replace(mdp, transition=that), v, s, 0)
         excess = max(err - l1, l1 - klb)
         if excess > chain_max:
             chain_max = excess

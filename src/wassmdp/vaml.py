@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -52,28 +52,19 @@ def _bound_value(c) -> float:
     return float(c.c if isinstance(c, ValueClassBound) else c)
 
 
-def _model_row(mdp, that, s, a):
-    that = np.asarray(that, dtype=float)
-    if that.shape != mdp.transition.shape:
-        raise ValueError(
-            f"model tensor shape {that.shape} does not match {mdp.transition.shape}"
-        )
-    return that[s, a]
-
-
-def pointwise_model_error(mdp: FiniteMdp, that, v, s: int, a: int) -> float:
-    """Signed discounted expectation gap of v under true vs model kernels.
+def pointwise_model_error(mdp: FiniteMdp, model: FiniteMdp, v, s: int, a: int) -> float:
+    """Signed discounted expectation gap of v under the true kernel and the
+    model kernel ``model`` (an MDP of the same shape) at cell (s, a).
 
     Computed against the field re-centered at its first value; both rows
     sum to one, so this is the same number but constant fields come out
     exactly zero.
     """
-    row_true = mdp.transition[s, a]
-    row_model = _model_row(mdp, that, s, a)
-    Distribution(row_model)
+    if model.transition.shape != mdp.transition.shape:
+        raise ValueError(f"model kernel shape {model.transition.shape} does not match {mdp.transition.shape}")
+    gap = mdp.transition_dist(s, a).p - model.transition_dist(s, a).p
     values = field_values(v, mdp.n_states)
-    centered = values - values[0]
-    return float(mdp.gamma * np.dot(row_true - row_model, centered))
+    return float(mdp.gamma * np.dot(gap, values - values[0]))
 
 
 class HolderPinskerBounds(NamedTuple):
@@ -82,43 +73,48 @@ class HolderPinskerBounds(NamedTuple):
     kl_bound: float
 
 
-def holder_pinsker_bounds(mdp: FiniteMdp, that, v, s: int, a: int) -> HolderPinskerBounds:
-    """|error| and its L1 (Holder) and KL (Pinsker) relaxations.
+def holder_pinsker_bounds(mdp: FiniteMdp, model: FiniteMdp, v, s: int, a: int) -> HolderPinskerBounds:
+    """|error| and its L1 (Holder) and KL (Pinsker) relaxations at cell (s, a)
+    of the true kernel and the model kernel ``model``.
 
     The chain |error| <= l1_bound <= kl_bound is what justifies fitting a
     model by maximum likelihood; a support violation makes the KL bound
     infinite rather than failing.
     """
-    err = abs(pointwise_model_error(mdp, that, v, s, a))
-    row_true = mdp.transition[s, a]
-    row_model = _model_row(mdp, that, s, a)
+    if model.transition.shape != mdp.transition.shape:
+        raise ValueError(f"model kernel shape {model.transition.shape} does not match {mdp.transition.shape}")
+    true, fitted = mdp.transition_dist(s, a), model.transition_dist(s, a)
+    gap = true.p - fitted.p
     values = field_values(v, mdp.n_states)
+    err = abs(float(mdp.gamma * np.dot(gap, values - values[0])))
     v_inf = float(np.abs(values).max())
-    l1 = float(mdp.gamma * np.abs(row_true - row_model).sum() * v_inf)
+    l1 = float(mdp.gamma * np.abs(gap).sum() * v_inf)
     try:
-        kl = kl_divergence(mdp.transition_dist(s, a), Distribution(row_model))
-        kl_bound = float(mdp.gamma * math.sqrt(2.0 * kl) * v_inf)
+        kl_bound = float(mdp.gamma * math.sqrt(2.0 * kl_divergence(true, fitted)) * v_inf)
     except SupportViolationError:
         kl_bound = math.inf
     return HolderPinskerBounds(err, l1, kl_bound)
 
 
-def cell_loss(true: Distribution, model_row, space, c: float):
+def cell_loss(true: Distribution, model: Distribution, space, c: float):
     """(loss, maximizing potential): the worst squared expectation gap of a true
     and a model next-state row over the c-Lipschitz value ball.
 
     The supremum is a transport dual LP with Lipschitz bound c; its square is
-    the loss.  At c = 0 the loss is 0, and the model row is not read.
+    the loss.  At c = 0 the loss is 0 and no LP runs.
     """
     if c == 0.0:
         return 0.0, ScalarField(np.zeros(space.n))
-    value, potential = wasserstein_dual(true, Distribution(model_row), space, c)
+    value, potential = wasserstein_dual(true, model, space, c)
     return float(value * value), potential.f
 
 
-def vaml_loss(mdp: FiniteMdp, that, c, s: int, a: int):
-    """``cell_loss`` of the (s, a) rows of the true and model kernels."""
-    return cell_loss(mdp.transition_dist(s, a), _model_row(mdp, that, s, a), mdp.space, _bound_value(c))
+def vaml_loss(mdp: FiniteMdp, model: FiniteMdp, c, s: int, a: int):
+    """``cell_loss`` of the (s, a) rows of the true kernel and the model kernel
+    ``model``, an MDP of the same shape."""
+    if model.transition.shape != mdp.transition.shape:
+        raise ValueError(f"model kernel shape {model.transition.shape} does not match {mdp.transition.shape}")
+    return cell_loss(mdp.transition_dist(s, a), model.transition_dist(s, a), mdp.space, _bound_value(c))
 
 
 def value_lipschitz_bound(mdp: FiniteMdp) -> ValueClassBound:
@@ -199,7 +195,8 @@ class EquivalenceReport:
 
 
 def verify_equivalence(mdp: FiniteMdp, that, c) -> EquivalenceReport:
-    """Exercise the loss identity at every (s, a) of the model pair.
+    """Exercise the loss identity at every (s, a) of the MDP and the model
+    tensor ``that``, whose rows are checked once, as a model kernel.
 
     For each cell the worst-case loss is computed through the dual LP and
     the transport distance through the primal LP; the two solvers are
@@ -207,13 +204,13 @@ def verify_equivalence(mdp: FiniteMdp, that, c) -> EquivalenceReport:
     rather than restating one computation.
     """
     bound = _bound_value(c)
-    that = np.asarray(that, dtype=float)
+    model = replace(mdp, transition=that)
     cells = []
     max_gap = 0.0
     for s in range(mdp.n_states):
         for a in range(mdp.n_actions):
-            loss, _ = vaml_loss(mdp, that, bound, s, a)
-            w, _ = wasserstein_primal(mdp.transition_dist(s, a), Distribution(that[s, a]), mdp.space)
+            loss, _ = vaml_loss(mdp, model, bound, s, a)
+            w, _ = wasserstein_primal(mdp.transition_dist(s, a), model.transition_dist(s, a), mdp.space)
             gap = abs(loss - (bound * w) ** 2)
             max_gap = max(max_gap, gap)
             cells.append(EquivalenceCell(s, a, loss, w, bound, gap))

@@ -252,11 +252,12 @@ class TestRun:
             ("learn", {"kind": "bogus"}),
             ("learn", {"iters": 0}),
             ("learn", {"step_size": -1}),
+            ("learn", {"step_size": "Infinity"}),
             ("learn", {"kind": "vaml", "model_rank": 9}),
             ("compare", {"kinds": ["kl", "nope"]}),
             ("compare", {"model_rank": 9}),
         ],
-        ids=["operator", "delta", "max_iter", "kind", "iters", "step_size", "model_rank", "kinds", "compare_model_rank"],
+        ids=["operator", "delta", "max_iter", "kind", "iters", "step_size", "step_size_infinite", "model_rank", "kinds", "compare_model_rank"],
     )
     def test_bad_run_setting_exit_2_before_any_work(self, tmp_path, capsys, what, settings):
         out = tmp_path / "out"
@@ -560,7 +561,7 @@ _MESSAGES = {
     "coupling_entry": (lambda d: Coupling([[-0.1, 0.6], [0.6, -0.1]], [0.5, 0.5], [0.5, 0.5]),
                        "coupling entry -0.1 below zero"),
     "mdp_row_sum": (lambda d: FiniteMdp(MetricSpace.unit_line(2), [[0.0], [0.0]], [[[0.6, 0.5]], [[0.5, 0.5]]], 0.9),
-                    "transition row for state 0, action 0 sums to 1.1"),
+                    "transition row for state 0, action 0: probabilities sum to 1.1, expected 1"),
     "file_row_sum": (lambda d: _load(d, transition=[[[0.6, 0.5]], [[0.5, 0.5]]]),
                      "transition[0][0]: probabilities sum to 1.1"),
     "huge_distances": (lambda d: _load(d, space={"dist": _HUGE}, reward=[[0.0]] * 3, transition=[[[1.0, 0.0, 0.0]]] * 3),

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -69,6 +70,11 @@ class TestFitSettings:
         for rank in (None, 1, 4):
             learner.check_fit_settings(mdp, FitConfig(model_rank=rank))
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.inf, np.nan])
+    def test_step_size_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match=rf"step_size must be positive and finite, got {step!r}"):
+            FitConfig(step_size=step)
+
 
 class TestModels:
     def test_full_rank_rows_are_distributions(self):
@@ -100,6 +106,12 @@ class TestAggregateLoss:
         for kind in (KL_LOSS, WASSERSTEIN_LOSS, vaml_loss_kind(1.0)):
             assert aggregate_loss(mdp, model, kind) <= 1e-9
 
+    @pytest.mark.parametrize("shape", [(5, 2, 4), (4, 1, 4)], ids=["extra_state", "missing_action"])
+    def test_model_of_another_shape_rejected(self, shape):
+        mdp = small_mdp(seed=1, n=4, m=2)
+        with pytest.raises(ValueError, match=re.escape(f"transition must have shape (4, 2, 4), got {shape}")):
+            aggregate_loss(mdp, np.full(shape, 0.25), WASSERSTEIN_LOSS)
+
     def test_kl_against_uniform_model_formula(self):
         mdp = small_mdp(seed=2, n=5, smoothing=0.2)
         n = mdp.n_states
@@ -124,11 +136,11 @@ class TestAggregateLoss:
                 m_row = rng.dirichlet(np.full(5, 0.5))
                 mask = t_row > 0.0
                 formula = max(float(np.sum(t_row[mask] * np.log(t_row[mask] / m_row[mask]))), 0.0)
-                assert _pair_loss(mdp, KL_LOSS, None, s, a, m_row) == formula
+                assert _pair_loss(mdp, KL_LOSS, None, s, a, Distribution(m_row)) == formula
                 # A model row that underflowed to zero where the true row has
                 # mass: the line search must see a loss it rejects.
                 off = np.eye(5)[(int(np.argmax(t_row)) + 1) % 5]
-                assert _pair_loss(mdp, KL_LOSS, None, s, a, off) == np.inf
+                assert _pair_loss(mdp, KL_LOSS, None, s, a, Distribution(off)) == np.inf
 
     def test_vaml_aggregate_is_scaled_squared_wasserstein(self):
         mdp = small_mdp(seed=3, n=5, m=2)
@@ -156,20 +168,25 @@ class TestAggregateLoss:
 
 class TestTrueRows:
     def test_one_distribution_per_true_row_per_mdp(self, monkeypatch):
-        mdp = small_mdp(seed=5, n=4, m=2)
-        built = []  # the true rows that Distributions were built from
+        given = []  # every array a Distribution was built from, kept alive so no address repeats
         check = Distribution.__post_init__
 
         def counting(self):
-            if isinstance(self.p, np.ndarray) and np.shares_memory(self.p, mdp.transition):
-                built.append(self.p.__array_interface__["data"][0])
+            given.append(self.p)
             check(self)
 
+        # The MDP checks its rows as it is built, so counting starts first.
         monkeypatch.setattr(Distribution, "__post_init__", counting)
+        mdp = small_mdp(seed=5, n=4, m=2)
         kernel_lipschitz(mdp)
         fit_model(mdp, WASSERSTEIN_LOSS, FitConfig(iters=3, step_size=0.5))
         fit_model(mdp, vaml_loss_kind(1.0), FitConfig(iters=1, step_size=0.5, model_rank=2))
         verify_equivalence(mdp, cell_rng(64, 0).dirichlet(np.ones(4), size=(4, 2)), 1.0)
+        built = [
+            p.__array_interface__["data"][0]
+            for p in given
+            if isinstance(p, np.ndarray) and np.shares_memory(p, mdp.transition)
+        ]
         assert len(built) == len(set(built)) == 8
         for s in range(4):
             for a in range(2):
@@ -182,10 +199,10 @@ class TestOneCellLoss:
     def test_per_cell_losses_are_vaml_losses_and_aggregate_is_their_mean(self, rank):
         mdp = small_mdp(seed=5, n=4, m=2)
         report = fit_model(mdp, vaml_loss_kind(), FitConfig(iters=3, step_size=0.5, model_rank=rank))
-        that = report.final_model.transition_tensor()
+        model = replace(mdp, transition=report.final_model.transition_tensor())
         for s in range(4):
             for a in range(2):
-                assert report.per_cell_losses[s, a] == vaml.vaml_loss(mdp, that, report.c_used, s, a)[0]
+                assert report.per_cell_losses[s, a] == vaml.vaml_loss(mdp, model, report.c_used, s, a)[0]
         total = 0.0
         for loss in report.per_cell_losses.ravel().tolist():  # row order, one addition at a time
             total += loss

@@ -34,12 +34,12 @@ def deterministic_kernel(space, g, gamma=0.9, reward=None):
 class TestFiniteMdpValidation:
     def test_row_sum_checked(self):
         t = np.full((2, 1, 2), 0.4)
-        with pytest.raises(ValueError, match="sums to"):
+        with pytest.raises(ValueError, match="transition row for state 0, action 0: probabilities sum to 0.8"):
             FiniteMdp(MetricSpace.unit_line(2), np.zeros((2, 1)), t, 0.9)
 
     def test_negative_probability_checked(self):
         t = np.array([[[1.2, -0.2]], [[0.5, 0.5]]])
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="transition row for state 0, action 0: negative probability -0.2"):
             FiniteMdp(MetricSpace.unit_line(2), np.zeros((2, 1)), t, 0.9)
 
     def test_gamma_range(self):
@@ -300,7 +300,7 @@ class TestPersistence:
             ({"gamma": 1.0}, "gamma must be in [0, 1), got 1.0"),
             ({"reward": [[0.0], [float("nan")]]}, "reward matrix contains non-finite entries"),
             ({"reward": [[0.0, 0.0], [0.0, 0.0]]}, "transition must have shape (2, 2, 2), got (2, 1, 2)"),
-            ({"transition": [[[1.5, -0.5]], [[0.5, 0.5]]]}, "negative transition probability at state 0, action 0"),
+            ({"transition": [[[1.5, -0.5]], [[0.5, 0.5]]]}, "transition row for state 0, action 0: negative probability"),
             ({"actions": 2}, "actions: must equal the reward's 1 columns, got 2"),
             ({"actions": True}, "actions: must equal the reward's 1 columns, got True"),
             ({"gamma": "high"}, "gamma: could not convert string to float: 'high'"),

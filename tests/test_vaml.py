@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,14 +30,14 @@ class TestPointwiseError:
         mdp = rng_mdp(1)
         rng = cell_rng(40, 0)
         v = rng.normal(size=mdp.n_states)
-        assert pointwise_model_error(mdp, mdp.transition, v, 2, 1) == 0.0
+        assert pointwise_model_error(mdp, mdp, v, 2, 1) == 0.0
 
     def test_constant_value_function_gives_exact_zero(self):
         mdp = rng_mdp(2)
         rng = cell_rng(41, 0)
         for _ in range(20):
-            that = random_model_tensor(rng, mdp)
-            err = pointwise_model_error(mdp, that, np.full(mdp.n_states, 3.7), 0, 0)
+            model = replace(mdp, transition=random_model_tensor(rng, mdp))
+            err = pointwise_model_error(mdp, model, np.full(mdp.n_states, 3.7), 0, 0)
             assert err == 0.0
 
     def test_matches_direct_dot_product(self):
@@ -49,7 +50,7 @@ class TestPointwiseError:
                 direct = mdp.gamma * float(
                     np.dot(mdp.transition[s, a] - that[s, a], v)
                 )
-                assert pointwise_model_error(mdp, that, v, s, a) == pytest.approx(
+                assert pointwise_model_error(mdp, replace(mdp, transition=that), v, s, a) == pytest.approx(
                     direct, abs=1e-12
                 )
 
@@ -57,14 +58,46 @@ class TestPointwiseError:
         mdp = rng_mdp(4)
         that = mdp.transition.copy()
         that[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            pointwise_model_error(mdp, that, np.zeros(mdp.n_states), 0, 0)
+        with pytest.raises(ValueError, match="transition row for state 0, action 0: probabilities sum to 0.0"):
+            pointwise_model_error(mdp, replace(mdp, transition=that), np.zeros(mdp.n_states), 0, 0)
+
+
+class TestCellIndices:
+    @pytest.mark.parametrize(
+        "s, a, message",
+        [(-1, 0, r"state -1 out of range \[0, 5\)"), (5, 0, r"state 5 out of range \[0, 5\)"),
+         (0, -1, r"action -1 out of range \[0, 2\)"), (0, 2, r"action 2 out of range \[0, 2\)")],
+    )
+    def test_every_cell_function_rejects_an_index_outside_its_range(self, s, a, message):
+        mdp = rng_mdp(17)
+        model = replace(mdp, transition=random_model_tensor(cell_rng(53, 0), mdp))
+        v = np.zeros(mdp.n_states)
+        for call in (
+            lambda: mdp.transition_dist(s, a),
+            lambda: vaml_loss(mdp, model, 1.0, s, a),
+            lambda: pointwise_model_error(mdp, model, v, s, a),
+            lambda: holder_pinsker_bounds(mdp, model, v, s, a),
+        ):
+            with pytest.raises(IndexError, match=message):
+                call()
+
+    def test_model_of_another_shape_rejected(self):
+        mdp = rng_mdp(18)
+        other = rng_mdp(18, m=1)
+        v = np.zeros(mdp.n_states)
+        for call in (
+            lambda: vaml_loss(mdp, other, 1.0, 0, 0),
+            lambda: pointwise_model_error(mdp, other, v, 0, 0),
+            lambda: holder_pinsker_bounds(mdp, other, v, 0, 0),
+        ):
+            with pytest.raises(ValueError, match=r"model kernel shape \(5, 1, 5\) does not match \(5, 2, 5\)"):
+                call()
 
 
 class TestHolderPinskerChain:
     def test_true_model_all_zero(self):
         mdp = rng_mdp(5)
-        out = holder_pinsker_bounds(mdp, mdp.transition, np.ones(mdp.n_states), 0, 0)
+        out = holder_pinsker_bounds(mdp, mdp, np.ones(mdp.n_states), 0, 0)
         assert out.error == 0.0
         assert out.l1_bound == 0.0
         assert out.kl_bound == 0.0
@@ -72,8 +105,8 @@ class TestHolderPinskerChain:
     def test_constant_value_function_shows_slack(self):
         mdp = rng_mdp(6)
         rng = cell_rng(43, 0)
-        that = random_model_tensor(rng, mdp)
-        out = holder_pinsker_bounds(mdp, that, np.full(mdp.n_states, 2.0), 1, 0)
+        model = replace(mdp, transition=random_model_tensor(rng, mdp))
+        out = holder_pinsker_bounds(mdp, model, np.full(mdp.n_states, 2.0), 1, 0)
         assert out.error == 0.0
         assert out.l1_bound > 0.0
         assert out.kl_bound >= out.l1_bound
@@ -82,11 +115,11 @@ class TestHolderPinskerChain:
         for t in range(40):
             rng = cell_rng(44, t)
             mdp = rng_mdp(int(rng.integers(0, 2**31)), n=int(rng.integers(2, 8)))
-            that = random_model_tensor(rng, mdp)
+            model = replace(mdp, transition=random_model_tensor(rng, mdp))
             v = rng.uniform(-3, 3, mdp.n_states)
             s = int(rng.integers(0, mdp.n_states))
             a = int(rng.integers(0, mdp.n_actions))
-            err, l1, klb = holder_pinsker_bounds(mdp, that, v, s, a)
+            err, l1, klb = holder_pinsker_bounds(mdp, model, v, s, a)
             assert err <= l1 + 1e-12
             assert l1 <= klb + 1e-12
 
@@ -98,7 +131,7 @@ class TestHolderPinskerChain:
         mdp = FiniteMdp(space, np.zeros((n, 1)), t, 0.9)
         that = np.zeros((n, 1, n))
         that[:, 0, :] = [[1.0, 0.0, 0.0]] * n
-        out = holder_pinsker_bounds(mdp, that, np.ones(n), 0, 0)
+        out = holder_pinsker_bounds(mdp, replace(mdp, transition=that), np.ones(n), 0, 0)
         assert out.kl_bound == math.inf
         assert out.l1_bound < math.inf
 
@@ -106,7 +139,7 @@ class TestHolderPinskerChain:
 class TestVamlLoss:
     def test_true_model_zero(self):
         mdp = rng_mdp(7)
-        loss, worst = vaml_loss(mdp, mdp.transition, 1.0, 0, 0)
+        loss, worst = vaml_loss(mdp, mdp, 1.0, 0, 0)
         assert loss == pytest.approx(0.0, abs=1e-15)
 
     def test_point_mass_rows_give_squared_distance(self):
@@ -117,7 +150,7 @@ class TestVamlLoss:
         that = np.zeros((n, 1, n))
         that[:, 0, 2] = 1.0
         mdp = FiniteMdp(space, np.zeros((n, 1)), t, 0.9)
-        loss, _ = vaml_loss(mdp, that, 1.0, 0, 0)
+        loss, _ = vaml_loss(mdp, replace(mdp, transition=that), 1.0, 0, 0)
         assert loss == pytest.approx(2.5**2, abs=1e-6)
 
     def test_matches_primal_route(self):
@@ -128,7 +161,7 @@ class TestVamlLoss:
             c = float(rng.uniform(0.2, 3.0))
             s = int(rng.integers(0, mdp.n_states))
             a = int(rng.integers(0, mdp.n_actions))
-            loss, _ = vaml_loss(mdp, that, c, s, a)
+            loss, _ = vaml_loss(mdp, replace(mdp, transition=that), c, s, a)
             w, _ = wasserstein_primal(
                 Distribution(mdp.transition[s, a]), Distribution(that[s, a]), mdp.space
             )
@@ -137,8 +170,8 @@ class TestVamlLoss:
     def test_zero_radius_gives_zero(self):
         mdp = rng_mdp(8)
         rng = cell_rng(46, 0)
-        that = random_model_tensor(rng, mdp)
-        loss, worst = vaml_loss(mdp, that, ValueClassBound(0.0), 0, 0)
+        model = replace(mdp, transition=random_model_tensor(rng, mdp))
+        loss, worst = vaml_loss(mdp, model, ValueClassBound(0.0), 0, 0)
         assert loss == 0.0
         assert np.all(worst.values == 0.0)
 
@@ -146,7 +179,7 @@ class TestVamlLoss:
         mdp = rng_mdp(9)
         rng = cell_rng(47, 0)
         that = random_model_tensor(rng, mdp)
-        loss, worst = vaml_loss(mdp, that, 1.5, 1, 0)
+        loss, worst = vaml_loss(mdp, replace(mdp, transition=that), 1.5, 1, 0)
         gap_row = mdp.transition[1, 0] - that[1, 0]
         plus = float(np.dot(gap_row, worst.values)) ** 2
         minus = float(np.dot(gap_row, -worst.values)) ** 2
@@ -156,10 +189,10 @@ class TestVamlLoss:
     def test_quadratic_in_radius(self):
         mdp = rng_mdp(10)
         rng = cell_rng(48, 0)
-        that = random_model_tensor(rng, mdp)
-        base, _ = vaml_loss(mdp, that, 1.0, 0, 1)
+        model = replace(mdp, transition=random_model_tensor(rng, mdp))
+        base, _ = vaml_loss(mdp, model, 1.0, 0, 1)
         for c in (0.5, 2.0, 7.0):
-            scaled, _ = vaml_loss(mdp, that, c, 0, 1)
+            scaled, _ = vaml_loss(mdp, model, c, 0, 1)
             assert scaled == pytest.approx(c**2 * base, rel=1e-9)
 
     def test_dominates_realized_value_functions(self):
@@ -167,13 +200,13 @@ class TestVamlLoss:
         mdp = rng_mdp(11)
         bound = value_lipschitz_bound(mdp)
         rng = cell_rng(49, 0)
-        that = random_model_tensor(rng, mdp)
+        model = replace(mdp, transition=random_model_tensor(rng, mdp))
         for op in (MAX, MEAN, eps_greedy(0.3), mellowmax(5.0)):
             v = gvi(mdp, op).v
             for s in range(mdp.n_states):
                 for a in range(mdp.n_actions):
-                    err = pointwise_model_error(mdp, that, v, s, a)
-                    loss, _ = vaml_loss(mdp, that, bound, s, a)
+                    err = pointwise_model_error(mdp, model, v, s, a)
+                    loss, _ = vaml_loss(mdp, model, bound, s, a)
                     assert mdp.gamma**2 * err**2 <= mdp.gamma**2 * loss + 1e-9
 
 
@@ -271,6 +304,20 @@ class TestVerifyEquivalence:
             rep = verify_equivalence(mdp, that, c)
             for cell in rep.cells:
                 assert cell.gap <= 1e-6 * (1.0 + cell.vaml)
+
+    def test_each_model_row_is_validated_once(self, monkeypatch):
+        mdp = rng_mdp(19, n=6)
+        that = random_model_tensor(cell_rng(54, 0), mdp)
+        built = []
+        check = Distribution.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(Distribution, "__post_init__", counting)
+        verify_equivalence(mdp, that, 1.0)
+        assert len(built) == 12
 
     def test_report_serialization(self, tmp_path):
         mdp = rng_mdp(16, n=3, m=1)
