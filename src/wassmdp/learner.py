@@ -12,6 +12,7 @@ cell losses; a VAML cell's is ``vaml.cell_loss``.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -203,7 +204,9 @@ class FitConfig:
     The step applies to the per-cell summed loss, so the effective pace
     does not shrink as the state-action grid grows.  ``log_every``
     controls how often model snapshots are kept for post-hoc checks;
-    ``model_rank`` switches to the shared-basis model class.
+    ``model_rank`` switches to the shared-basis model class.  ``iters``,
+    ``seed``, ``log_every`` and ``model_rank`` (or None) are integers, not
+    bools.
     """
 
     iters: int = 2000
@@ -213,6 +216,11 @@ class FitConfig:
     model_rank: int | None = None
 
     def __post_init__(self):
+        for name in ("iters", "seed", "log_every", "model_rank"):
+            value = getattr(self, name)
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not (integral or (name == "model_rank" and value is None)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iters < 1:
             raise ValueError("iters must be at least 1")
         if not (0.0 < self.step_size < np.inf):

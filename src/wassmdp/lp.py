@@ -209,59 +209,6 @@ class LpSolution:
     answer_reused: bool = False
 
 
-@dataclass(frozen=True, eq=False)
-class _Standard:
-    """Equality standard form over u = x - q >= 0, q being the lower bounds.
-
-    ``sense`` is the slack sign of each row: +1 for "<=", 0 for "==", and
-    negated on the rows negated to b >= 0.  The form holds constraint data
-    only; ``costs`` maps an objective onto it.
-    """
-
-    A: np.ndarray
-    b: np.ndarray
-    sense: np.ndarray
-    q: np.ndarray
-
-    def costs(self, objective):
-        """The objective on the standard columns and its constant term objective @ q."""
-        return objective, float(objective @ self.q)
-
-    def recover(self, u):
-        return self.q + u
-
-
-def _standardize(problem: LpProblem):
-    """Shift the variables to u = x - lower >= 0 and normalize rows to b >= 0.
-
-    Each finite upper bound adds a "<=" row on its column, and a row with
-    b < 0 is negated, so a negated "<=" row gets a slack of sign -1.
-    Returns None when a variable's bounds cross (trivially infeasible).
-    """
-    lo, hi = problem.lower, problem.upper
-    if np.any(hi < lo - FEASIBILITY_TOL):
-        return None
-    upper_cols = np.flatnonzero(hi < np.inf)
-    m0, k = problem.A.shape
-    m = m0 + upper_cols.shape[0]
-    A = np.zeros((m, k))
-    b = np.empty(m)
-    A[:m0] = problem.A
-    b[:m0] = problem.rhs - problem.A @ lo
-    A[np.arange(m0, m), upper_cols] = 1.0
-    b[m0:] = (hi - lo)[upper_cols]
-    sense = np.ones(m)
-    sense[:m0] = problem.relations == LEQ
-
-    flip = b < 0.0
-    A[flip] = -A[flip]
-    b[flip] = -b[flip]
-    sense[flip] = -sense[flip]
-
-    # The memo makes its phase-1 arrays read-only, so q is not the caller's.
-    return _Standard(A, b, sense, lo.copy())
-
-
 def _run_simplex(tab, basis, ncols, work):
     """Minimize the objective row in place under Bland's rule.
 
@@ -360,16 +307,24 @@ def _pivot(tab, basis, p, col, work, factors):
 
 @dataclass(frozen=True, eq=False)
 class _Phase1:
-    """What phase 1 leaves for phase 2; it depends on the constraints alone.
+    """A constraint set's standard form and what phase 1 leaves for phase 2.
 
-    ``tab`` is the tableau after phase 1 without artificial columns or
-    redundant rows (phase 2 overwrites its cost row), ``basis`` maps its
-    rows to columns, ``kept`` lists the standard-form rows it keeps and
-    ``pivots`` counts phase 1's pivots, drive-out included.  ``tab`` and
-    ``basis`` are None when phase 1 proved the LP infeasible.
+    ``A``, ``b`` and ``sense`` pose the constraints as equalities over
+    u = x - q >= 0, q being the lower bounds, with b >= 0.  ``sense`` is
+    the slack sign of each row: +1 for "<=", 0 for "==", and negated on
+    the rows negated to b >= 0; ``slack_rows`` lists the rows with a
+    slack.  ``tab`` is the tableau after phase 1 without artificial
+    columns or redundant rows (phase 2 overwrites its cost row), ``basis``
+    maps its rows to columns, ``kept`` lists the standard-form rows it
+    keeps and ``pivots`` counts phase 1's pivots, drive-out included.
+    ``tab``, ``basis`` and ``kept`` are None when phase 1 proved the LP
+    infeasible.  Nothing here reads the objective.
     """
 
-    std: _Standard
+    A: np.ndarray
+    b: np.ndarray
+    sense: np.ndarray
+    q: np.ndarray
     slack_rows: np.ndarray
     tab: np.ndarray | None
     basis: np.ndarray | None
@@ -461,7 +416,7 @@ def _memo_store(key, cost, sol, start):
     global _memo_held
     answer = _with_copies(sol, phase1_reused=True, answer_reused=True)
     answer_arrays = _arrays(answer)
-    start_arrays = [] if start is None else _arrays(start.std) + _arrays(start)
+    start_arrays = [] if start is None else _arrays(start)
     for a in answer_arrays + start_arrays:
         a.setflags(write=False)
     with _memo_lock:
@@ -517,18 +472,42 @@ def _arrays(record):
     return [v for v in values if isinstance(v, np.ndarray)]
 
 
-def _phase1(std):
-    """Build the tableau and run phase 1; returns the _Phase1 and a scratch buffer.
+def _phase1(problem):
+    """Standardize the constraints, build the tableau and run phase 1.
 
-    The returned tableau and basis are the live ones that phase 2 goes on
-    with; the buffer is at least as large as the tableau.
+    Returns the _Phase1 and a scratch buffer at least as large as the
+    tableau, whose tableau and basis are the live ones that phase 2 goes
+    on with; or (None, None) when a variable's bounds cross (trivially
+    infeasible).
     """
-    m, k = std.A.shape
+    lo, hi = problem.lower, problem.upper
+    if np.any(hi < lo - FEASIBILITY_TOL):
+        return None, None
+    # Shift x = lo + u, add a "<=" row per finite upper bound and negate the
+    # rows with b < 0, so a negated "<=" row gets a slack of sign -1.
+    upper_cols = np.flatnonzero(hi < np.inf)
+    m0, k = problem.A.shape
+    m = m0 + upper_cols.shape[0]
+    A = np.zeros((m, k))
+    b = np.empty(m)
+    A[:m0] = problem.A
+    b[:m0] = problem.rhs - problem.A @ lo
+    A[np.arange(m0, m), upper_cols] = 1.0
+    b[m0:] = (hi - lo)[upper_cols]
+    sense = np.ones(m)
+    sense[:m0] = problem.relations == LEQ
+    flip = b < 0.0
+    A[flip] = -A[flip]
+    b[flip] = -b[flip]
+    sense[flip] = -sense[flip]
+    # The memo makes its phase-1 arrays read-only, so q is not the caller's.
+    q = lo.copy()
+
     # Columns: structural, one slack per inequality row (+1 for "<=", -1 for
     # a negated "<=" row), one artificial per "==" or negated row.  "<=" rows
     # start on their slack, the others on their artificial.
-    slack_rows = np.flatnonzero(std.sense)
-    art_rows = np.flatnonzero(std.sense <= 0.0)
+    slack_rows = np.flatnonzero(sense)
+    art_rows = np.flatnonzero(sense <= 0.0)
     art_start = k + slack_rows.shape[0]
     na = art_rows.shape[0]
     ncols = art_start + na
@@ -539,10 +518,10 @@ def _phase1(std):
     basis[art_rows] = art_cols
 
     tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, :k] = std.A
-    tab[slack_rows, slack_cols] = std.sense[slack_rows]
+    tab[:m, :k] = A
+    tab[slack_rows, slack_cols] = sense[slack_rows]
     tab[art_rows, art_cols] = 1.0
-    tab[:m, -1] = std.b
+    tab[:m, -1] = b
     work = np.empty_like(tab)
 
     kept = np.arange(m)
@@ -558,8 +537,8 @@ def _phase1(std):
         if status != "optimal":
             raise ArithmeticError("phase-1 subproblem reported unbounded")
         phase1 = -tab[-1, -1]
-        if phase1 > FEASIBILITY_TOL * (1.0 + std.b.max(initial=0.0)):
-            return _Phase1(std, slack_rows, None, None, None, pivots), None
+        if phase1 > FEASIBILITY_TOL * (1.0 + b.max(initial=0.0)):
+            return _Phase1(A, b, sense, q, slack_rows, None, None, None, pivots), None
         # Drive the remaining artificials out; a row with no other nonzero
         # is redundant and is dropped.
         factors = np.empty(m + 1)
@@ -577,7 +556,7 @@ def _phase1(std):
         tab[:, art_start] = tab[:, -1]
         work = None
         tab, work = tab[np.append(kept, -1), : art_start + 1], tab
-    return _Phase1(std, slack_rows, tab, basis, kept, pivots), work
+    return _Phase1(A, b, sense, q, slack_rows, tab, basis, kept, pivots), work
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -626,24 +605,23 @@ def _solve(problem, start, keep):
             tab, basis = start.tab.copy(), start.basis.copy()
             work = np.empty_like(tab)
     else:
-        std = _standardize(problem)
-        if std is None:
+        start, work = _phase1(problem)
+        if start is None:
             return LpSolution(status=INFEASIBLE), None
-        start, work = _phase1(std)
         tab, basis = start.tab, start.basis
         if keep:
             stored = start if tab is None else dataclasses.replace(start, tab=tab.copy(), basis=basis.copy())
     # Unpacked, so that dropping tab below frees the tableau.
-    std, slack_rows, kept, phase1_pivots = start.std, start.slack_rows, start.kept, start.pivots
+    A, b, sense, q = start.A, start.b, start.sense, start.q
+    slack_rows, kept, phase1_pivots = start.slack_rows, start.kept, start.pivots
     start = None
     if tab is None:
         return LpSolution(status=INFEASIBLE, pivots=(phase1_pivots, 0), phase1_reused=reused), stored
-    k = std.A.shape[1]
+    k = A.shape[1]
     m, ncols = tab.shape[0] - 1, tab.shape[1] - 1
-    c, offset = std.costs(problem.objective)
 
     c_min = np.zeros(ncols)
-    c_min[:k] = -c
+    c_min[:k] = -problem.objective
     tab[-1, :ncols] = c_min
     tab[-1, -1] = 0.0
     # Price out the basic rows with a nonzero cost, in row order.
@@ -659,16 +637,16 @@ def _solve(problem, start, keep):
 
     # Re-factorize the final basis against the original standard-form data
     # so the answer does not inherit accumulated tableau drift.  B's columns
-    # are basic columns of std.A or basic slacks, cut to the kept rows when
+    # are basic columns of A or basic slacks, cut to the kept rows when
     # phase 1 dropped a row.
     struct = basis < k
     slack_of = slack_rows[basis[~struct] - k]
-    B = np.zeros((std.A.shape[0], m))
-    B[:, struct] = std.A[:, basis[struct]]
-    B[slack_of, ~struct] = std.sense[slack_of]
+    B = np.zeros((A.shape[0], m))
+    B[:, struct] = A[:, basis[struct]]
+    B[slack_of, ~struct] = sense[slack_of]
     if kept.size < B.shape[0]:
         B = B[kept]
-    b_kept = std.b[kept]
+    b_kept = b[kept]
     # These two dense LU solves are most of a large dual LP's time (three
     # quarters or more of an n = 40 W1 dual) now that pivots touch only
     # their block, and they set its peak memory: B plus the copy of it that
@@ -686,10 +664,11 @@ def _solve(problem, start, keep):
     if u.min(initial=0.0) < -1e-7:
         raise ArithmeticError("refined basic solution lost nonnegativity")
 
-    x = std.recover(u[:k])
+    x = q + u[:k]
     value = float(problem.objective @ x)
     duals = -y_min
-    dual_value = float(duals @ b_kept) + offset
+    # The shift x = q + u leaves the objective the constant term objective @ q.
+    dual_value = float(duals @ b_kept) + float(problem.objective @ q)
     if not (math.isfinite(value) and math.isfinite(dual_value)):
         raise ArithmeticError(_OVERFLOW)
     _certify(problem, x, value, dual_value)

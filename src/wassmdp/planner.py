@@ -195,7 +195,7 @@ def gvi(
     if q0 is None:
         q = np.zeros((n, m))
     else:
-        q = np.array(q0.q if isinstance(q0, QFunction) else q0, dtype=float)
+        q = (q0 if isinstance(q0, QFunction) else QFunction(q0)).q
         if q.shape != (n, m):
             raise ValueError(f"q0 has shape {q.shape}, expected {(n, m)}")
     t_flat = mdp.transition.reshape(n * m, n)
@@ -234,13 +234,17 @@ def greedy_policy(q: QFunction | np.ndarray) -> np.ndarray:
 
 
 def evaluate_policy(mdp: FiniteMdp, policy) -> ScalarField:
-    """Exact V^pi from the linear system V = R_pi + gamma T_pi V."""
-    pol = np.asarray(policy, dtype=int).ravel()
+    """Exact V^pi from the linear system V = R_pi + gamma T_pi V; the policy
+    holds one integral action per state."""
+    pol = np.asarray(policy, dtype=float).ravel()
     n, m = mdp.n_states, mdp.n_actions
     if pol.shape[0] != n:
         raise ValueError(f"policy has {pol.shape[0]} entries for {n} states")
+    if np.any(pol != np.floor(pol)):  # a NaN fails too
+        raise ValueError("policy actions must be integers")
     if pol.min() < 0 or pol.max() >= m:
         raise ValueError(f"policy actions must lie in [0, {m})")
+    pol = pol.astype(int)
     t_pi = mdp.transition[np.arange(n), pol]
     r_pi = mdp.reward[np.arange(n), pol]
     v = np.linalg.solve(np.eye(n) - mdp.gamma * t_pi, r_pi)

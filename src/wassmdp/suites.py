@@ -118,18 +118,23 @@ def check_settings(suite: str, settings: dict) -> None:
     """Raise ValueError, naming the setting, on a value ``suite`` cannot run with.
 
     Every suite calls this on entry, before it draws or generates anything;
-    ``settings`` maps keyword names to values and may leave any out.  The
-    theorem suite's ``delta`` goes to gvi, which owns its rule.
+    ``settings`` maps keyword names to values and may leave any out.  A
+    tolerance (``tol``, the theorem suite's ``recursion_tol``) must be
+    finite and at least 0.  The theorem suite's ``delta`` goes to gvi,
+    which owns its rule.
     """
     for key, least in {"seed": 0, **_MINIMA[suite]}.items():
         if key in settings and settings[key] < least:
             raise ValueError(f"{key}: must be at least {least}, got {settings[key]}")
+    for key in ("tol", "recursion_tol"):
+        if key in settings and not (0.0 <= settings[key] < np.inf):
+            raise ValueError(f"{key}: must be finite and at least 0, got {settings[key]!r}")
     check_gvi_settings(settings)
 
 
 def duality_suite(seed: int = 0, trials: int = 100, max_states: int = 20, tol: float = 1e-6) -> SuiteReport:
     """Primal coupling cost versus dual potential value at unit bound."""
-    check_settings("duality", {"seed": seed, "trials": trials, "max_states": max_states})
+    check_settings("duality", {"seed": seed, "trials": trials, "max_states": max_states, "tol": tol})
     max_violation = -np.inf
     worst = None
     for t in range(trials):
@@ -157,7 +162,8 @@ def equivalence_suite(
     """Worst-case loss over the certified Lipschitz ball vs squared scaled
     transport distance, relative gap per state-action cell."""
     check_settings(
-        "equivalence", {"seed": seed, "trials": trials, "max_states": max_states, "max_actions": max_actions}
+        "equivalence",
+        {"seed": seed, "trials": trials, "max_states": max_states, "max_actions": max_actions, "tol": tol},
     )
     max_violation = -np.inf
     worst = None
@@ -210,7 +216,11 @@ def theorem_suite(
     every sweep.  Cells whose discounted kernel constant reaches 1 are
     excluded as outside the bound's precondition and reported as skipped.
     """
-    check_settings("theorem", {"seed": seed, "trials": trials, "delta": delta})
+    check_settings(
+        "theorem", {"seed": seed, "trials": trials, "delta": delta, "tol": tol, "recursion_tol": recursion_tol}
+    )
+    if mdps is not None and not mdps:
+        raise ValueError("mdps: must hold at least one MDP, or be None to generate them")
     operators = operators if operators is not None else _default_operator_grid()
     if mdps is not None:
         trials = min(trials, len(mdps))
@@ -284,7 +294,7 @@ def theorem_suite(
 
 def operators_suite(seed: int = 0, trials: int = 1000, tol: float = 1e-12) -> SuiteReport:
     """Non-expansion of every backup operator across its parameter grid."""
-    check_settings("operators", {"seed": seed, "trials": trials})
+    check_settings("operators", {"seed": seed, "trials": trials, "tol": tol})
     grid = [
         MAX,
         MEAN,
@@ -328,7 +338,7 @@ def lemmas_suite(
 ) -> SuiteReport:
     """Composition and summation bounds for measured Lipschitz constants,
     plus the Holder/Pinsker relaxation chain of the pointwise model error."""
-    check_settings("lemmas", {"seed": seed, "trials": trials, "chain_trials": chain_trials})
+    check_settings("lemmas", {"seed": seed, "trials": trials, "chain_trials": chain_trials, "tol": tol})
     comp_max = -np.inf
     sum_max = -np.inf
     chain_max = -np.inf

@@ -124,9 +124,14 @@ class TestVerify:
             ("duality", (), {"tol": "tight"}, "tol: could not convert string to float: 'tight'"),
             ("duality", (), {"seed": "x"}, "seed: invalid literal for int() with base 10: 'x'"),
             ("theorem", (), {"recursion_tol": "x"}, "recursion_tol: could not convert string to float: 'x'"),
+            ("duality", ("--trials", "2", "--tol=nan"), {}, "tol: must be finite and at least 0, got nan"),
+            ("duality", ("--tol=-1",), {}, "tol: must be finite and at least 0, got -1.0"),
+            ("equivalence", (), {"tol": float("inf")}, "tol: must be finite and at least 0, got inf"),
+            ("theorem", (), {"recursion_tol": float("nan")}, "recursion_tol: must be finite and at least 0, got nan"),
         ],
         ids=["trials_flag", "trials", "delta", "delta_inf", "max_states_duality",
-             "max_states_equivalence", "max_actions", "chain_trials", "tol", "seed", "recursion_tol"],
+             "max_states_equivalence", "max_actions", "chain_trials", "tol", "seed", "recursion_tol",
+             "tol_nan", "tol_negative", "tol_infinite", "recursion_tol_nan"],
     )
     def test_bad_suite_setting_exit_2_before_any_work(self, tmp_path, capsys, suite, flags, settings, named):
         out = tmp_path / "out"

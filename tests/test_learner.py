@@ -70,6 +70,20 @@ class TestFitSettings:
         for rank in (None, 1, 4):
             learner.check_fit_settings(mdp, FitConfig(model_rank=rank))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("model_rank", 2.5), ("model_rank", True), ("log_every", 1.5), ("iters", 2.5), ("seed", 1.5),
+         ("iters", True), ("seed", False), ("log_every", "20"), ("iters", None)],
+    )
+    def test_integer_fields_take_integers_only(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            FitConfig(**{field: value})
+
+    def test_integer_fields_take_numpy_integers(self):
+        config = FitConfig(iters=np.int64(3), seed=np.uint32(7), log_every=np.int32(2), model_rank=np.int64(2))
+        assert (config.iters, config.seed, config.log_every, config.model_rank) == (3, 7, 2, 2)
+        assert FitConfig(model_rank=None).model_rank is None
+
     @pytest.mark.parametrize("step", [0.0, -1.0, np.inf, np.nan])
     def test_step_size_must_be_positive_and_finite(self, step):
         with pytest.raises(ValueError, match=rf"step_size must be positive and finite, got {step!r}"):

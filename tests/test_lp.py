@@ -367,19 +367,20 @@ class TestSolutionContracts:
         for dual_value in (sol.dual_objective_value + 1e-6, np.nan):
             with pytest.raises(ArithmeticError, match="dual objective"):
                 lp._certify(problem, sol.x, sol.objective_value, dual_value)
-        # The objective's constant term enters the dual objective alone, so
-        # shifting it opens a duality gap inside solve_lp, both when phase 1
-        # comes from the memo and when it runs afresh.  A second objective
-        # makes the memo keep phase 1, and a third keeps the stored answers
-        # of the first two out of it.
+        # The refactorization solves for x with B, then for the duals with
+        # B.T; duals off by 1e-6 open a duality gap inside solve_lp, both
+        # when phase 1 comes from the memo and when it runs afresh.  A second
+        # objective makes the memo keep phase 1, and a third keeps the stored
+        # answers of the first two out of it.
         lp.solve_lp(with_objective(problem, [1.0, 1.0]))
-        costs = lp._Standard.costs
+        solve, calls = np.linalg.solve, []
 
-        def shifted(std, objective):
-            c, offset = costs(std, objective)
-            return c, offset + 1e-6
+        def off_duals(a, b):
+            calls.append(a)
+            y = solve(a, b)
+            return y + 1e-6 if len(calls) % 2 == 0 else y
 
-        monkeypatch.setattr(lp._Standard, "costs", shifted)
+        monkeypatch.setattr(np.linalg, "solve", off_duals)
         third = with_objective(problem, [2.0, 1.0])
         assert list(lp._memo) == [lp._memo_key(third)]
         start, answers, _ = lp._memo[lp._memo_key(third)]
@@ -390,6 +391,8 @@ class TestSolutionContracts:
         lp.clear_memo()
         with pytest.raises(ArithmeticError, match="dual objective"):
             lp.solve_lp(third)
+        assert len(calls) == 4
+        assert all(calls[i + 1].base is calls[i] for i in (0, 2))  # B.T, a view of B
 
     def test_singular_final_basis_raises_typed_error(self, monkeypatch):
         def singular(a, b):
@@ -475,8 +478,7 @@ def memo_arrays():
     arrays = []
     for start, answers, _ in lp._memo.values():
         if start is not None:
-            std = start.std
-            arrays += [std.A, std.b, std.sense, std.q, start.slack_rows]
+            arrays += [start.A, start.b, start.sense, start.q, start.slack_rows]
             if start.tab is not None:
                 arrays += [start.tab, start.basis, start.kept]
         for sol in answers.values():
@@ -502,8 +504,7 @@ def entries_held():
     for key, (start, answers, held) in lp._memo.items():
         own = sum(len(part) for part in key[2:]) // 8
         if start is not None:
-            std = start.std
-            parts = (std.A, std.b, std.sense, std.q)
+            parts = (start.A, start.b, start.sense, start.q)
             parts += (start.slack_rows, start.tab, start.basis, start.kept)
             own += sum(a.size for a in parts if a is not None)
         own += sum(answer_held(cost, sol) for cost, sol in answers.items())
@@ -517,7 +518,7 @@ def entries_held():
 
 def phase1_held(key, start):
     """Numbers a phase-1 entry holds in its key's copy of A, standard form and tableau."""
-    return len(key[1]) // 8 + start.std.A.size + (0 if start.tab is None else start.tab.size)
+    return len(key[1]) // 8 + start.A.size + (0 if start.tab is None else start.tab.size)
 
 
 def fresh_solve(problem):
@@ -557,13 +558,13 @@ class TestPhase1Memo:
         b = lp.LpProblem([1.0, -1.0], [[1.0, 1.0], [-1.0, -1.0]], [lp.LEQ, lp.LEQ], [1.0, -2.0], 0.0)
         c = lp.LpProblem([1.0, 0.0], [[0.0, 1.0]], [lp.LEQ], [1.0])
         calls = []
-        standardize = lp._standardize
+        phase1 = lp._phase1
 
         def counting(problem):
             calls.append(problem)
-            return standardize(problem)
+            return phase1(problem)
 
-        monkeypatch.setattr(lp, "_standardize", counting)
+        monkeypatch.setattr(lp, "_phase1", counting)
         sequence = [a, b, c, with_objective(a, [2.0, -1.0]), a, with_objective(b, [0.0, 1.0])]
         sequence += [with_objective(c, [1.0, -1.0]), with_objective(c, [0.0, 1.0]), with_objective(b, [1.0, 0.0])]
         sequence += [with_objective(a, [0.0, 1.0]), with_objective(c, [1.0, 1.0])]
@@ -576,7 +577,7 @@ class TestPhase1Memo:
         ]
         flags = [sol.phase1_reused for sol in solutions]
         assert flags == [False, False, False, False, True, False, False, True, True, True, True, False, False]
-        # A hit neither standardizes nor runs phase 1.
+        # A hit makes no _phase1 call: it neither standardizes nor runs phase 1.
         assert len(calls) == flags.count(False)
 
     def test_w1_primals_leave_no_tableau(self):
@@ -765,8 +766,8 @@ class TestAnswerMemo:
         rng = np.random.default_rng(79)
         pool = [TestSolutionContracts._random_problem(rng) for _ in range(12)]
         pool += [with_objective(p, rng.normal(size=p.n_vars)) for p in pool[:6]]
-        calls = {"standardize": 0, "simplex": 0}
-        standardize, run_simplex = lp._standardize, lp._run_simplex
+        calls = {"phase1": 0, "simplex": 0}
+        phase1, run_simplex = lp._phase1, lp._run_simplex
 
         def counting(name, fn):
             def wrapped(*args):
@@ -774,7 +775,7 @@ class TestAnswerMemo:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(lp, "_standardize", counting("standardize", standardize))
+        monkeypatch.setattr(lp, "_phase1", counting("phase1", phase1))
         monkeypatch.setattr(lp, "_run_simplex", counting("simplex", run_simplex))
         seen = set()
         for i in rng.integers(0, len(pool), size=80):
@@ -790,7 +791,7 @@ class TestAnswerMemo:
                 assert sol.phase1_reused
                 assert calls == before
             else:
-                assert calls["standardize"] == before["standardize"] + (not sol.phase1_reused)
+                assert calls["phase1"] == before["phase1"] + (not sol.phase1_reused)
             seen.add(i)
         counts = lp.memo_counts()
         assert counts["solves"] == 80
@@ -1146,13 +1147,12 @@ def gathered_basis(start, basis):
     """The basis matrix as the refactorization built it before it skipped the
     gather of an unchanged row set: at every standard-form row, then cut to
     the kept rows."""
-    std = start.std
-    k = std.A.shape[1]
+    k = start.A.shape[1]
     struct = basis < k
     slack_of = start.slack_rows[basis[~struct] - k]
-    B = np.zeros((std.A.shape[0], basis.shape[0]))
-    B[:, struct] = std.A[:, basis[struct]]
-    B[slack_of, ~struct] = std.sense[slack_of]
+    B = np.zeros((start.A.shape[0], basis.shape[0]))
+    B[:, struct] = start.A[:, basis[struct]]
+    B[slack_of, ~struct] = start.sense[slack_of]
     return B[start.kept]
 
 
@@ -1165,8 +1165,8 @@ class TestRefactorization:
         seen = {}
         phase1, run_simplex, solve = lp._phase1, lp._run_simplex, np.linalg.solve
 
-        def recording_phase1(std):
-            seen["start"], work = phase1(std)
+        def recording_phase1(problem):
+            seen["start"], work = phase1(problem)
             return seen["start"], work
 
         def recording_run(tab, basis, *args):
@@ -1185,7 +1185,7 @@ class TestRefactorization:
         else:
             transport.wasserstein_dual(mu1, mu2, space, 1.0)
         start, B = seen["start"], seen["B"]
-        assert start.kept.size == start.std.A.shape[0] - dropped
+        assert start.kept.size == start.A.shape[0] - dropped
         expected = gathered_basis(start, seen["basis"])
         assert B.shape == expected.shape
         assert B.flags.c_contiguous
@@ -1289,14 +1289,14 @@ class TestPivotLoop:
         # The reference runs the old loop and pivot; both runs must
         # make the same Bland pivots, return the same bits and leave each
         # phase's final tableau equal up to the sign of a zero.
-        assert any(lp._standardize(p).A.shape[0] == 0 for p in loop_problems)
+        assert any(standardize_by_rows(p)[0].shape[0] == 0 for p in loop_problems)
         new_parts = (lp._run_simplex, lp._pivot)
         old_parts = (reference_run_simplex, reference_pivot)
         state = {}
 
         def recording_run(tab, basis, ncols, work):
-            std, c = state["std"], state["c"]
-            if ncols == std.A.shape[1] + np.count_nonzero(std.sense):
+            A, sense, c = state["A"], state["sense"], state["c"]
+            if ncols == A.shape[1] + np.count_nonzero(sense):
                 # Phase 2 starts from the cost row priced out over every
                 # basic row in order, as the old loop over all rows did.
                 c_min = np.zeros(ncols)
@@ -1322,8 +1322,8 @@ class TestPivotLoop:
             monkeypatch.setattr(lp, "_pivot", parts[1])
             solutions = []
             for problem in loop_problems:
-                state["std"] = lp._standardize(problem)
-                state["c"] = state["std"].costs(problem.objective)[0]
+                state["A"], _, state["sense"], _ = standardize_by_rows(problem)
+                state["c"] = problem.objective
                 sol = lp.solve_lp(problem)
                 # Two bound-only LPs of the family share their constraints,
                 # and the memo keeps phase 1 from the second objective on,
@@ -1376,7 +1376,8 @@ class TestPivotLoop:
 
 
 def standardize_by_rows(problem):
-    """Variable-by-variable, row-by-row reference for lp._standardize."""
+    """Variable-by-variable, row-by-row reference for the standard form of
+    lp._phase1: A, b, sense and q."""
     upper = [(j, hi - lo) for j, (lo, hi) in enumerate(zip(problem.lower, problem.upper)) if hi < INF]
     rows = [a.copy() for a in problem.A]
     b = list(problem.rhs - problem.A @ problem.lower)
@@ -1406,10 +1407,10 @@ class TestStandardForm:
             relations = rng.choice([lp.LEQ, lp.EQ], size=m)
             A, rhs = rng.normal(size=(m, nv)), rng.normal(size=m)
             problem = lp.LpProblem(rng.normal(size=nv), A, relations, rhs, lower, upper)
-            std = lp._standardize(problem)
-            parts = (std.A, std.b, std.sense, std.q)
+            start, _ = lp._phase1(problem)
+            parts = (start.A, start.b, start.sense, start.q)
             for got, want in zip(parts, standardize_by_rows(problem)):
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)
             # The memo makes q read-only; the caller's bounds stay writable.
-            assert not np.shares_memory(std.q, problem.lower)
+            assert not np.shares_memory(start.q, problem.lower)

@@ -158,6 +158,12 @@ class TestTheoremSuite:
         assert rep == theorem_suite(seed=0, trials=1, mdps=[mdp]).to_json_dict()
         assert rep["worst"]["provided"] and rep["pass"]
 
+    def test_empty_mdp_list_rejected(self, monkeypatch):
+        # No MDP would mean no trial, and a pass that checked nothing.
+        monkeypatch.setattr(suites, "cell_rng", None)
+        with pytest.raises(ValueError, match="^mdps: must hold at least one MDP"):
+            theorem_suite(seed=0, trials=5, mdps=[])
+
     def test_one_lipschitz_call_per_member_per_sweep(self, monkeypatch):
         # The benchmark's traced theorem run checks these two counts; the
         # calls must go through the module globals, where a tracer sees them.
@@ -210,6 +216,13 @@ class TestSettings:
             ("lemmas", {"trials": 0}, "trials: must be at least 1, got 0"),
             ("lemmas", {"chain_trials": 0}, "chain_trials: must be at least 1, got 0"),
             *((suite, {"seed": -1}, "seed: must be at least 0, got -1") for suite in suites.SUITES),
+            ("theorem", {"recursion_tol": float("nan")}, "recursion_tol: must be finite and at least 0, got nan"),
+            ("theorem", {"recursion_tol": -1e-9}, "recursion_tol: must be finite and at least 0, got -1e-09"),
+            *(
+                (suite, {"tol": tol}, f"tol: must be finite and at least 0, got {tol!r}")
+                for suite in suites.SUITES
+                for tol in (float("nan"), -1.0, float("inf"))
+            ),
         ],
     )
     def test_bad_setting_raises_before_any_draw(self, monkeypatch, suite, settings, message):
@@ -222,7 +235,7 @@ class TestSettings:
         assert str(info.value) == message
 
     def test_least_settings_run(self):
-        assert duality_suite(trials=1, max_states=2).trials == 1
+        assert duality_suite(trials=1, max_states=2, tol=0.0).trials == 1
         assert equivalence_suite(trials=1, max_states=4, max_actions=1).passed
         assert lemmas_suite(trials=1, chain_trials=1).passed
 
