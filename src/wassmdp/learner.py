@@ -205,8 +205,8 @@ class FitConfig:
     does not shrink as the state-action grid grows.  ``log_every``
     controls how often model snapshots are kept for post-hoc checks;
     ``model_rank`` switches to the shared-basis model class.  ``iters``,
-    ``seed``, ``log_every`` and ``model_rank`` (or None) are integers, not
-    bools.
+    ``seed``, ``log_every`` and ``model_rank`` (or None) are integers and
+    ``step_size`` is a number, none of them a bool.
     """
 
     iters: int = 2000
@@ -223,6 +223,8 @@ class FitConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iters < 1:
             raise ValueError("iters must be at least 1")
+        if isinstance(self.step_size, (bool, np.bool_)):
+            raise ValueError(f"step_size must be a number, not a bool, got {self.step_size!r}")
         if not (0.0 < self.step_size < np.inf):
             raise ValueError(f"step_size must be positive and finite, got {self.step_size!r}")
         if self.seed < 0:

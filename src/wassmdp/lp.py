@@ -53,25 +53,28 @@ row by row and can differ in the last bit.
 
 Standardization, the tableau build and phase 1 read only the constraint
 data, never the objective, and a basis that phase 1 finds stays feasible
-for any cost vector.  A module-level memo keeps one entry per constraint
-set, keyed by the exact bytes of ``A`` (with its shape), ``relations``,
-``rhs``, ``lower`` and ``upper``, holding the certified answer of each
-objective solved on it, keyed by the objective's bytes; one ulp or a
--0.0 for +0.0 misses.  A byte-identical repeat, such as each cell a
-finite-difference bump leaves unchanged, gets the stored answer back,
-the bits a fresh solve of the deterministic solver would return.  Once
-a constraint set comes back with a second objective, its entry also
-keeps the standard form and the tableau, basis, kept rows and pivot
-count after phase 1 (or the "infeasible" verdict), and later objectives
-run phase 2, the refactorization and the certificate from a copy of it.
-A W1 primal, seen with one objective, copies no tableau, and the primals
-of one size share one copy of their ``A``.  An LP whose phase-1 result
-could exceed ``_MEMO_MAX_ELEMENTS`` numbers (1 MiB) is not keyed; all
-entries hold at most ``_MEMO_BUDGET`` numbers (2 MiB), least recently
-used out first, but an entry alone over it, such as the dual constraint
-set of a long VAML fit, sheds its oldest answers and keeps its phase 1.
-Stored arrays are read-only, each solve works on its own copies, and a
-lock guards the entries, so threads may solve concurrently.
+for any cost vector.  A module-level memo, one ordered dict in least
+recently used order, keeps flat items under SHA-256 digests: of ``A``'s
+shape and the bytes of ``A``, ``relations``, ``rhs``, ``lower`` and
+``upper`` for a constraint set, and of all that and the objective's
+bytes for an LP, so one ulp or a -0.0 for +0.0 anywhere misses.  Under
+an LP's digest the memo keeps its certified answer: a byte-identical
+repeat, such as each cell a finite-difference bump leaves unchanged,
+gets it back, the bits a fresh solve of the deterministic solver would
+return.  Under a constraint digest it keeps None while the set has been
+solved with one objective, and once it comes back with a second, the
+standard form and the tableau, basis, kept rows and pivot count after
+phase 1 (or the "infeasible" verdict); later objectives run phase 2, the
+refactorization and the certificate from a copy of it.  A W1 primal,
+seen with one objective, copies no tableau.  An LP whose phase-1 result
+could exceed ``_MEMO_MAX_ELEMENTS`` numbers (1 MiB) is not keyed.  Each
+item counts its arrays and ``_ITEM_OVERHEAD`` numbers, and while all
+count more than ``_MEMO_BUDGET`` (2 MiB) the least recently used item
+goes.  Every lookup refreshes the constraint item, so a phase 1 in
+steady use, such as the dual constraint set of a long VAML fit,
+outlives its older answers.  Stored arrays are read-only, each solve
+works on its own copies, and a lock guards the memo, so threads may
+solve concurrently.
 
 A solve runs with numpy's overflow and invalid-value warnings off: data
 near the largest float can overflow the tableau, and the solver raises
@@ -83,6 +86,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import hashlib
 import math
 import threading
 from dataclasses import dataclass
@@ -100,13 +104,13 @@ OPTIMALITY_TOL = 1e-9
 _PIVOT_TOL = 1e-10
 # Tableau size (elements) from which _pivot updates only the nonzero block.
 _BLOCK_MIN_SIZE = 30_000
-# LP memo: the most numbers one LP's phase-1 result may hold (the key's copy
-# of A, the standard-form matrix and the tableau), and the most all entries
-# hold together (2 MiB), each answer counting _ANSWER_OVERHEAD numbers for
-# its Python objects, about 1 KiB besides its arrays and objective bytes.
+# LP memo: the most numbers an LP's phase-1 result may come to (counting A,
+# the standard-form matrix and the tableau) for the LP to be kept, and the most
+# all items hold together (2 MiB), each counting _ITEM_OVERHEAD numbers, about
+# 1 KiB, for its key and Python objects besides its arrays.
 _MEMO_MAX_ELEMENTS = 131_072
 _MEMO_BUDGET = 262_144
-_ANSWER_OVERHEAD = 128
+_ITEM_OVERHEAD = 128
 # What every ArithmeticError that overflow raises says.
 _OVERFLOW = "the LP's arithmetic overflowed: its tableau or solution is no longer finite"
 
@@ -192,11 +196,12 @@ class LpSolution:
     independently re-factorized price-out of the optimum, which must agree
     with ``objective_value``.  ``pivots`` counts the simplex pivots of
     phase 1 (artificial drive-out included) and of phase 2.
-    ``phase1_reused`` is true when phase 1 came from the memo (``pivots``
-    still reports its count), and ``answer_reused``, which implies it, when
-    the whole answer did, stored by an earlier certified solve.  Every
-    field has the bits a fresh solve gives either way, and ``x`` and
-    ``duals`` are the caller's own writable arrays.
+    ``phase1_reused`` is true when phase 1 came from the memo's item for
+    the constraint set (``pivots`` still reports its count), and
+    ``answer_reused``, which implies it, when the whole answer came from
+    the item an earlier certified solve of the same LP left.  Every field
+    has the bits a fresh solve gives either way, and ``x`` and ``duals``
+    are the caller's own writable arrays.
     """
 
     status: str
@@ -332,24 +337,22 @@ class _Phase1:
     pivots: int
 
 
-# Constraint key -> [read-only _Phase1 or None, {objective bytes: answer with
-# read-only arrays}, numbers held besides A], least recently used first, each
-# dict in use order too; the bytes of A -> [the copy keys share, how many keys
-# do]; and the numbers all entries hold together, each shared A counted once.
+# SHA-256 digest -> item, least recently used first.  An item is a certified
+# answer with read-only arrays, under the digest of the constraint data and the
+# objective; or, under the digest of the constraint data alone, the read-only
+# _Phase1 of a constraint set solved with two objectives or more, or None while
+# it has been solved with one.  _memo_held is the numbers all items count.
 _memo: collections.OrderedDict = collections.OrderedDict()
-_memo_A: dict = {}
 _memo_held = 0
 _counts = {"solves": 0, "phase1_reused": 0, "answer_reused": 0}
 _memo_lock = threading.Lock()
 
 
 def clear_memo():
-    """Forget every stored constraint set with its phase 1 and answers, and
-    zero ``memo_counts()``."""
+    """Forget every stored phase-1 result and answer, and zero ``memo_counts()``."""
     global _memo_held
     with _memo_lock:
         _memo.clear()
-        _memo_A.clear()
         _memo_held = 0
         _counts.update(dict.fromkeys(_counts, 0))
 
@@ -362,102 +365,89 @@ def memo_counts() -> dict:
         return dict(_counts)
 
 
-def _memo_key(problem):
-    """The constraint data's exact bytes, or None when an entry could be too large.
+def _memo_keys(problem):
+    """The digests of the constraint data and of the whole LP, or None when
+    its phase-1 result could be too large for the memo.
 
-    The size bound counts the key's copy of A, the standard-form matrix
-    and the tableau with a slack on every row but no artificial column,
-    from the problem's shape and bounds alone, before any copy is made.
+    The size bound counts the problem's A, the standard-form matrix and the
+    tableau with a slack on every row but no artificial column, from the
+    problem's shape and bounds alone.  The digests take A's shape first, so
+    two LPs whose arrays run to the same bytes in different shapes differ.
     """
     m0, nv = problem.A.shape
     m = m0 + int(np.count_nonzero(problem.upper < np.inf))
     if m0 * nv + m * nv + (m + 1) * (nv + m + 1) > _MEMO_MAX_ELEMENTS:
         return None
-    parts = (problem.A, problem.relations, problem.rhs, problem.lower, problem.upper)
-    return (problem.A.shape,) + tuple(a.tobytes() for a in parts)
+    # LpProblem's arrays are C-contiguous but for A, which keeps the caller's order.
+    digest = hashlib.sha256(str(problem.A.shape).encode())
+    digest.update(np.ascontiguousarray(problem.A))
+    for a in (problem.relations, problem.rhs, problem.lower, problem.upper):
+        digest.update(a)
+    constraints = digest.digest()
+    digest.update(problem.objective)
+    return constraints, digest.digest()
 
 
-def _memo_lookup(key, cost):
+def _memo_lookup(keys):
     """What the memo holds for one solve, and whether to keep its phase 1.
 
     Returns (answer, start, keep): the stored answer of a byte-identical
     repeat or None, the stored phase-1 result or None, and ``keep`` true
-    when the constraint set is stored with neither, so that it came back
-    with another objective.  Counts the solve; an unkeyed LP (``key``
-    None) is only counted.
+    when the constraint set has been solved with one objective only, so
+    that it came back with another.  Counts the solve; an unkeyed LP
+    (``keys`` None) is only counted.
     """
     with _memo_lock:
         _counts["solves"] += 1
-        # A dict hit compares the tuples of shapes and bytes exactly too.
-        entry = None if key is None else _memo.get(key)
-        if entry is None:
+        if keys is None:
             return None, None, False
-        _memo.move_to_end(key)
-        start, answers, _ = entry
-        answer = answers.pop(cost, None)
-        if answer is None and start is None:
-            return None, None, True
+        constraints, whole = keys
+        known = constraints in _memo
+        if known:
+            _memo.move_to_end(constraints)
+        answer = _memo.get(whole)
         if answer is not None:
-            answers[cost] = answer  # now the most recently used
-        _counts["phase1_reused"] += 1
-        _counts["answer_reused"] += answer is not None
-        return answer, start, False
+            _memo.move_to_end(whole)
+            _counts["phase1_reused"] += 1
+            _counts["answer_reused"] += 1
+            return answer, None, False
+        start = _memo.get(constraints)
+        _counts["phase1_reused"] += start is not None
+        return None, start, known and start is None
 
 
-def _memo_store(key, cost, sol, start):
-    """File a read-only copy of ``sol`` under ``cost`` in ``key``'s entry, and
-    ``start``, a phase-1 result phase 2 no longer writes, unless it is None
-    or the entry has one.  An entry counts its key but A, which entries of
-    equal A share and count once, and its arrays and answers.  Until all
-    hold at most ``_MEMO_BUDGET`` numbers the least recently used entry
-    goes, but the entry in use, left alone, drops its oldest answers and
-    keeps its phase 1 and newest answer.
+def _memo_store(keys, sol, start):
+    """File a read-only copy of ``sol`` under the LP's digest and, unless the
+    constraint digest holds a phase 1 already, ``start`` under it: a phase-1
+    result phase 2 no longer writes, or None for a constraint set new to the
+    memo.  Then the least recently used items go until all count at most
+    ``_MEMO_BUDGET`` numbers.
     """
     global _memo_held
     answer = _with_copies(sol, phase1_reused=True, answer_reused=True)
-    answer_arrays = _arrays(answer)
-    start_arrays = [] if start is None else _arrays(start)
-    for a in answer_arrays + start_arrays:
+    for a in _arrays(answer) + ([] if start is None else _arrays(start)):
         a.setflags(write=False)
+    constraints, whole = keys
     with _memo_lock:
-        entry = _memo.get(key)
-        if entry is None:
-            shared = _memo_A.setdefault(key[1], [key[1], 0])
-            shared[1] += 1
-            key = (key[0], shared[0]) + key[2:]
-            entry = _memo[key] = [None, {}, sum(len(part) for part in key[2:]) // 8]
-            _memo_held += entry[2] + (len(key[1]) // 8 if shared[1] == 1 else 0)
-        _memo.move_to_end(key)
-        added = 0
-        if cost not in entry[1]:
-            entry[1][cost] = answer
-            added += _answer_size(cost, answer)
-        if start is not None and entry[0] is None:
-            entry[0] = start
-            added += sum(a.size for a in start_arrays)
-        entry[2] += added
-        _memo_held += added
+        if _memo.get(constraints) is None:
+            _memo_put(constraints, start)
+        _memo_put(whole, answer)
         while _memo_held > _MEMO_BUDGET:
-            oldest, entry = next(iter(_memo.items()))
-            if len(_memo) == 1 and len(entry[1]) > 1:
-                dropped = next(iter(entry[1]))
-                size = _answer_size(dropped, entry[1].pop(dropped))
-                entry[2] -= size
-                _memo_held -= size
-                continue
-            del _memo[oldest]
-            _memo_held -= entry[2]
-            shared = _memo_A[oldest[1]]
-            shared[1] -= 1
-            if not shared[1]:
-                del _memo_A[oldest[1]]
-                _memo_held -= len(oldest[1]) // 8
+            _memo_held -= _held(_memo.popitem(last=False)[1])
 
 
-def _answer_size(cost, answer):
-    """The numbers one stored answer counts: its arrays, its objective's
-    bytes and ``_ANSWER_OVERHEAD`` for its Python objects."""
-    return _ANSWER_OVERHEAD + len(cost) // 8 + sum(a.size for a in _arrays(answer))
+def _memo_put(key, item):
+    """Make ``item`` the most recently used, under ``key``; the lock is held."""
+    global _memo_held
+    if key in _memo:
+        _memo_held -= _held(_memo.pop(key))
+    _memo[key] = item
+    _memo_held += _held(item)
+
+
+def _held(item):
+    """The numbers one item counts: its arrays and ``_ITEM_OVERHEAD``."""
+    return _ITEM_OVERHEAD + (0 if item is None else sum(a.size for a in _arrays(item)))
 
 
 def _with_copies(sol, **changes):
@@ -566,26 +556,25 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     and memory stays at one tableau plus one scratch buffer, and on the
     second objective of a constraint set small enough for the memo the
     stored copy of its phase-1 tableau.  From its third objective on,
-    phase 1 comes from the memo.  A byte-identical repeat of an LP still
-    in the memo returns the stored answer, with fresh copies of its
-    arrays.  Infeasibility and unboundedness are reported through the
-    status, not by raising; only malformed input raises, and so does an
-    optimum that fails its certificate: x must be feasible and the
-    objective must agree with the dual objective to ``FEASIBILITY_TOL``
-    relative to it.  A singular final basis raises ``SingularBasisError``,
+    phase 1 comes from the memo while its item is there.  A byte-identical
+    repeat of an LP whose answer is still in the memo returns that
+    answer, with fresh copies of its arrays.  Infeasibility and
+    unboundedness are reported through the status, not by raising; only
+    malformed input raises, and so does an optimum that fails its
+    certificate: x must be feasible and the objective must agree with the
+    dual objective to ``FEASIBILITY_TOL`` relative to it.  A singular final basis raises ``SingularBasisError``,
     and a tableau or answer that overflowed raises ``ArithmeticError``.
     """
-    key = _memo_key(problem)
-    cost = problem.objective.tobytes()
-    answer, start, keep = _memo_lookup(key, cost)
+    keys = _memo_keys(problem)
+    answer, start, keep = _memo_lookup(keys)
     if answer is not None:
         return _with_copies(answer)
     # Overflow shows as a non-finite tableau or answer, which raises; numpy
     # need not warn too.
     with np.errstate(over="ignore", invalid="ignore"):
         sol, stored = _solve(problem, start, keep)
-    if key is not None:
-        _memo_store(key, cost, sol, stored)
+    if keys is not None:
+        _memo_store(keys, sol, stored)
     return sol
 
 

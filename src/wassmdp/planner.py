@@ -164,7 +164,10 @@ class GviDivergedError(GviConvergenceError):
 
 def check_gvi_settings(settings: dict) -> None:
     """Raise ValueError, naming the setting, on a ``delta`` or ``max_iter`` that gvi
-    cannot run with; other keys of ``settings`` are not read."""
+    cannot run with, a bool included; other keys of ``settings`` are not read."""
+    for key in ("delta", "max_iter"):
+        if isinstance(settings.get(key), (bool, np.bool_)):
+            raise ValueError(f"{key}: must be a number, not a bool, got {settings[key]!r}")
     if "delta" in settings and not (0.0 < settings["delta"] < np.inf):
         raise ValueError(f"delta: must be positive and finite, got {settings['delta']!r}")
     if "max_iter" in settings and not (settings["max_iter"] >= 1):

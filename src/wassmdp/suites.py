@@ -121,8 +121,11 @@ def check_settings(suite: str, settings: dict) -> None:
     ``settings`` maps keyword names to values and may leave any out.  A
     tolerance (``tol``, the theorem suite's ``recursion_tol``) must be
     finite and at least 0.  The theorem suite's ``delta`` goes to gvi,
-    which owns its rule.
+    which owns its rule.  Every setting is a number, and a bool is not one.
     """
+    for key, value in settings.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{key}: must be a number, not a bool, got {value!r}")
     for key, least in {"seed": 0, **_MINIMA[suite]}.items():
         if key in settings and settings[key] < least:
             raise ValueError(f"{key}: must be at least {least}, got {settings[key]}")

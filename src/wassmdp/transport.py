@@ -76,13 +76,6 @@ class Distribution:
     def uniform(cls, n: int) -> "Distribution":
         return cls(np.full(n, 1.0 / n))
 
-    @classmethod
-    def from_weights(cls, w) -> "Distribution":
-        w = np.asarray(w, dtype=float).ravel()
-        if w.min(initial=0.0) < 0.0 or w.sum() <= 0.0:
-            raise ValueError("weights must be nonnegative with positive total")
-        return cls(w / w.sum())
-
 
 @dataclass(frozen=True, eq=False)
 class Coupling:

@@ -84,9 +84,10 @@ class TestFitSettings:
         assert (config.iters, config.seed, config.log_every, config.model_rank) == (3, 7, 2, 2)
         assert FitConfig(model_rank=None).model_rank is None
 
-    @pytest.mark.parametrize("step", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.inf, np.nan, True, np.True_])
     def test_step_size_must_be_positive_and_finite(self, step):
-        with pytest.raises(ValueError, match=rf"step_size must be positive and finite, got {step!r}"):
+        rule = "a number, not a bool" if isinstance(step, (bool, np.bool_)) else "positive and finite"
+        with pytest.raises(ValueError, match=rf"^step_size must be {rule}, got {re.escape(repr(step))}$"):
             FitConfig(step_size=step)
 
 

@@ -382,9 +382,10 @@ class TestSolutionContracts:
 
         monkeypatch.setattr(np.linalg, "solve", off_duals)
         third = with_objective(problem, [2.0, 1.0])
-        assert list(lp._memo) == [lp._memo_key(third)]
-        start, answers, _ = lp._memo[lp._memo_key(third)]
-        assert start is not None and third.objective.tobytes() not in answers
+        # Two answers, and between them the phase 1 that the second kept.
+        assert [type(item) for item in lp._memo.values()] == [lp.LpSolution, lp._Phase1, lp.LpSolution]
+        constraints, whole = lp._memo_keys(third)
+        assert isinstance(lp._memo[constraints], lp._Phase1) and whole not in lp._memo
         with pytest.raises(ArithmeticError, match="dual objective"):
             lp.solve_lp(third)
         assert lp.memo_counts() == {"solves": 3, "phase1_reused": 1, "answer_reused": 0}
@@ -476,49 +477,45 @@ def shared_constraint_groups():
 def memo_arrays():
     """Every array the memo holds, in phase-1 results and in answers."""
     arrays = []
-    for start, answers, _ in lp._memo.values():
-        if start is not None:
-            arrays += [start.A, start.b, start.sense, start.q, start.slack_rows]
-            if start.tab is not None:
-                arrays += [start.tab, start.basis, start.kept]
-        for sol in answers.values():
-            arrays += [a for a in (sol.x, sol.duals) if a is not None]
+    for item in lp._memo.values():
+        if isinstance(item, lp._Phase1):
+            arrays += [item.A, item.b, item.sense, item.q, item.slack_rows]
+            if item.tab is not None:
+                arrays += [item.tab, item.basis, item.kept]
+        elif item is not None:
+            arrays += [a for a in (item.x, item.duals) if a is not None]
     return arrays
 
 
-def answer_held(cost, sol):
-    """Numbers one stored answer counts: its arrays, its objective's bytes
-    and ``_ANSWER_OVERHEAD`` for its objects."""
-    return lp._ANSWER_OVERHEAD + len(cost) // 8 + sum(a.size for a in (sol.x, sol.duals) if a is not None)
+def item_held(item):
+    """Numbers one memo item counts: its arrays and ``_ITEM_OVERHEAD`` for the rest."""
+    if isinstance(item, lp._Phase1):
+        parts = (item.A, item.b, item.sense, item.q, item.slack_rows, item.tab, item.basis, item.kept)
+    else:
+        parts = () if item is None else (item.x, item.duals)
+    return lp._ITEM_OVERHEAD + sum(a.size for a in parts if a is not None)
 
 
-def entries_held():
-    """The numbers the memo holds, recounted from its keys and arrays.
-
-    Each entry counts its key's bytes but A's, every array of its phase-1
-    result and its answers; each entry's own count must agree.  Keys whose
-    A has the same bytes share one copy of them, counted once, and
-    ``_memo_A`` counts the keys that share each.
-    """
-    total = 0
-    for key, (start, answers, held) in lp._memo.items():
-        own = sum(len(part) for part in key[2:]) // 8
-        if start is not None:
-            parts = (start.A, start.b, start.sense, start.q)
-            parts += (start.slack_rows, start.tab, start.basis, start.kept)
-            own += sum(a.size for a in parts if a is not None)
-        own += sum(answer_held(cost, sol) for cost, sol in answers.items())
-        assert held == own
-        assert lp._memo_A[key[1]][0] is key[1]
-        total += own
-    users = collections.Counter(key[1] for key in lp._memo)
-    assert {a: count for a, (_, count) in lp._memo_A.items()} == users
-    return total + sum(len(a) // 8 for a in users)
+def item_kind(item):
+    """"answer", "phase 1" or "none": what a memo item is."""
+    if isinstance(item, lp.LpSolution):
+        return "answer"
+    return "none" if item is None else "phase 1"
 
 
-def phase1_held(key, start):
-    """Numbers a phase-1 entry holds in its key's copy of A, standard form and tableau."""
-    return len(key[1]) // 8 + start.A.size + (0 if start.tab is None else start.tab.size)
+def memo_held():
+    """The numbers the memo holds, recounted item by item."""
+    return sum(item_held(item) for item in lp._memo.values())
+
+
+def phase1_held(problem, start):
+    """Numbers the size rule counts for an LP: its A, the standard form and the tableau."""
+    return problem.A.size + start.A.size + (0 if start.tab is None else start.tab.size)
+
+
+def constraint_item(problem):
+    """What the memo holds under the problem's constraint digest."""
+    return lp._memo[lp._memo_keys(problem)[0]]
 
 
 def fresh_solve(problem):
@@ -583,19 +580,20 @@ class TestPhase1Memo:
     def test_w1_primals_leave_no_tableau(self):
         # A W1 primal's right-hand side holds its two marginals and its
         # objective the metric, so its constraint set comes back only as a
-        # byte-identical repeat: no primal entry keeps a phase-1 tableau.
-        # The VAML duals of one space keep theirs from the second objective.
+        # byte-identical repeat: no primal keeps a phase-1 tableau, and each
+        # constraint digest holds None.  The VAML duals of one space keep
+        # theirs from the second objective.
         mdp = generate_lipschitz_mdp(4, 2, 0.9, 0.5, seed=3)
         config = learner.FitConfig(iters=1, step_size=0.5, model_rank=2)
         learner.fit_model(mdp, learner.WASSERSTEIN_LOSS, config)
-        primals = list(lp._memo.values())
+        primals = [key for key, item in lp._memo.items() if item is None]
         assert len(primals) > 8
-        assert all(start is None for start, _, _ in primals)
+        assert all(isinstance(item, lp.LpSolution) for item in lp._memo.values() if item is not None)
         assert lp.memo_counts()["phase1_reused"] == lp.memo_counts()["answer_reused"] > 0
         learner.fit_model(mdp, learner.LossKind("vaml", 1.0), config)
-        duals = [entry for entry in lp._memo.values() if entry not in primals]
-        assert duals and all(start is not None and start.tab is not None for start, _, _ in duals)
-        assert all(start is None for start, _, _ in primals)
+        duals = [item for key, item in lp._memo.items() if key not in primals and not isinstance(item, lp.LpSolution)]
+        assert duals and all(isinstance(start, lp._Phase1) and start.tab is not None for start in duals)
+        assert all(lp._memo[key] is None for key in primals)
 
     def test_memo_arrays_reject_writes(self):
         for group in shared_constraint_groups()[::9]:
@@ -610,7 +608,7 @@ class TestPhase1Memo:
                             arr.flat[0] = 0
                 returned = [v for v in (sol.x, sol.duals) if v is not None]
                 assert not any(np.shares_memory(v, arr) for v in returned for arr in arrays)
-        assert any(start is not None for start, _, _ in lp._memo.values())
+        assert any(isinstance(item, lp._Phase1) for item in lp._memo.values())
 
     def test_caller_mutation_misses(self):
         rng = np.random.default_rng(71)
@@ -644,26 +642,31 @@ class TestPhase1Memo:
         seconds = [with_objective(p, rng.normal(size=p.n_vars)) for p in problems]
         thirds = [with_objective(p, rng.normal(size=p.n_vars)) for p in problems]
         # A budget that holds a few of the ten constraint sets with their
-        # phase 1: the least recently used went first.
+        # phase 1 and answers: the least recently used went first.  Each
+        # set leaves its first answer, its phase 1 (moved to the newest end
+        # when the second objective keeps it) and its second answer.
         monkeypatch.setattr(lp, "_MEMO_BUDGET", 2_000)
+        order = []
         for first, second in zip(problems, seconds):
             lp.solve_lp(first)
             lp.solve_lp(second)
-            assert entries_held() == lp._memo_held <= lp._MEMO_BUDGET
-        keys = [lp._memo_key(p) for p in problems]
+            assert memo_held() == lp._memo_held <= lp._MEMO_BUDGET
+            (constraints, one), (_, two) = lp._memo_keys(first), lp._memo_keys(second)
+            order += [one, constraints, two]
         kept = list(lp._memo)
-        assert 2 <= len(kept) < len(keys)
-        assert kept == keys[len(keys) - len(kept):]
-        assert all(start is not None for start, _, _ in lp._memo.values())
+        assert 6 <= len(kept) < len(order)
+        assert kept == order[len(order) - len(kept):]
+        assert not any(item is None for item in lp._memo.values())
+        # The newest phase 1 is reused, and the oldest was dropped and runs again.
         sol = lp.solve_lp(thirds[-1])
         assert sol.phase1_reused and not sol.answer_reused
         sol = lp.solve_lp(thirds[0])
         assert not sol.phase1_reused and not sol.answer_reused
         monkeypatch.setattr(lp, "_MEMO_BUDGET", 2**62)
         # With only "<=" rows, b >= 0 and lower bounds alone, the bound is
-        # exact: 12 numbers of the key's A, 12 of the standard-form A and
+        # exact: 12 numbers of the problem's A, 12 of the standard-form A and
         # 4 x 8 of a tableau with a slack on every row and no artificial.
-        # The entry fits a cap of its size and not one less.
+        # The LP is keyed under a cap of that size and not one less.
         tight = lp.LpProblem([1.0, 2.0, 0.5, 1.0], rng.uniform(0.1, 1.0, (3, 4)), [lp.LEQ] * 3, [1.0, 2.0, 3.0], 0.0)
         for cap, stored in ((55, False), (56, True)):
             monkeypatch.setattr(lp, "_MEMO_MAX_ELEMENTS", cap)
@@ -671,10 +674,9 @@ class TestPhase1Memo:
             lp.solve_lp(tight)
             lp.solve_lp(with_objective(tight, [1.0, 1.0, 1.0, 1.0]))
             assert bool(lp._memo) == stored
-        ((key, (start, _, _)),) = lp._memo.items()
-        assert phase1_held(key, start) == 56
+        assert len(lp._memo) == 3 and phase1_held(tight, constraint_item(tight)) == 56
         monkeypatch.setattr(lp, "_MEMO_MAX_ELEMENTS", default_cap)
-        # The n = 20 W1 dual's tableau alone exceeds the cap: no key, no entry.
+        # The n = 20 W1 dual's tableau alone exceeds the cap: no key, no item.
         rng = np.random.default_rng(3)
         space = suites.random_metric_space(rng, 20, "plane")
         mu1, mu2 = suites.random_distribution(rng, 20), suites.random_distribution(rng, 20)
@@ -684,7 +686,7 @@ class TestPhase1Memo:
         transport.wasserstein_dual(mu1, mu2, space, 1.0)
         monkeypatch.setattr(lp, "solve_lp", solve)
         (big,) = recorded
-        assert lp._memo_key(big) is None
+        assert lp._memo_keys(big) is None
         before = list(lp._memo.items())
         for problem in (big, big, with_objective(big, -big.objective)):
             sol = lp.solve_lp(problem)
@@ -697,19 +699,28 @@ class TestPhase1Memo:
                 lp.clear_memo()
                 lp.solve_lp(problem)
                 lp.solve_lp(second)
-                assert all(phase1_held(key, start) <= cap for key, (start, _, _) in lp._memo.items())
-                assert (lp._memo_key(problem) is None) == (not lp._memo)
+                keys = lp._memo_keys(problem)
+                assert (keys is None) == (not lp._memo)
+                assert keys is None or phase1_held(problem, constraint_item(problem)) <= cap
 
     def test_threads_share_no_mutable_state(self, monkeypatch):
         # More threads than cores, switching often, all on a few constraint
-        # sets, under a budget that drops entries: a shared tableau or basis,
-        # or a lost update of the entries or their count, would change bits
+        # sets, under a budget that drops items: a shared tableau or basis,
+        # or a lost update of the items or their count, would change bits
         # or break the budget.
         groups = shared_constraint_groups()
         problems = [p for group in groups[-2:] + groups[:3] + groups[80:82] for p in group]
         expected = [fingerprint(fresh_solve(p)) for p in problems]
+        # Every item of one pass, together, passes the budget, so the budget
+        # drops items whatever the threads' order.
         lp.clear_memo()
-        monkeypatch.setattr(lp, "_MEMO_BUDGET", 12_000)
+        for problem in problems:
+            lp.solve_lp(problem)
+        one_pass = memo_held()
+        budget = 4_000
+        assert one_pass > budget
+        lp.clear_memo()
+        monkeypatch.setattr(lp, "_MEMO_BUDGET", budget)
         offsets = [0, 7, 13, 21] * 20
 
         def solve_all(offset):
@@ -717,7 +728,7 @@ class TestPhase1Memo:
             for problem in problems[offset:] + problems[:offset]:
                 sol = lp.solve_lp(problem)
                 with lp._memo_lock:
-                    assert entries_held() == lp._memo_held <= lp._MEMO_BUDGET
+                    assert memo_held() == lp._memo_held <= lp._MEMO_BUDGET
                 out.append((fingerprint(sol), sol.phase1_reused, sol.answer_reused))
             return out
 
@@ -733,10 +744,55 @@ class TestPhase1Memo:
             assert [f for f, _, _ in run] == expected[offset:] + expected[:offset]
         assert any(reused and not answered for run in runs for _, reused, answered in run)
         assert any(answered for run in runs for _, _, answered in run)
-        assert any(not reused for run in runs[1:] for _, reused, _ in run)
+        assert memo_held() == lp._memo_held <= budget < one_pass
         counts = lp.memo_counts()
         assert counts["solves"] == len(offsets) * len(problems)
+        assert counts["phase1_reused"] == sum(reused for run in runs for _, reused, _ in run)
         assert counts["answer_reused"] == sum(answered for run in runs for _, _, answered in run)
+
+
+class TestMemoKey:
+    def test_equal_byte_streams_of_other_shapes_miss(self):
+        # One row over four variables: A, relations, rhs, lower and upper run
+        # to 4 + 1 + 1 + 4 + 4 numbers' bytes, as the bounds of a problem
+        # with no rows over seven variables do; with the objective, to 18,
+        # as the bounds and objective of a rowless problem over six
+        # variables do.  Only the shape tells them apart.
+        row = lp.LpProblem([1.0, 2.0, 0.5, 1.0], [[-2.0, -2.0, -2.0, -2.0]], [lp.LEQ], [1.0], -1.0, 3.0)
+        constraints = [row.A, row.relations, row.rhs, row.lower, row.upper]
+        stream = np.frombuffer(b"".join(a.tobytes() for a in constraints))
+        seven = lp.LpProblem(np.ones(7), np.zeros((0, 7)), [], [], stream[:7], stream[7:])
+        stream = np.frombuffer(b"".join(a.tobytes() for a in constraints + [row.objective]))
+        six = lp.LpProblem(stream[12:], np.zeros((0, 6)), [], [], stream[:6], stream[6:12])
+        assert lp._memo_keys(seven)[0] != lp._memo_keys(row)[0]
+        assert lp._memo_keys(six)[1] != lp._memo_keys(row)[1]
+        for other in (seven, six):
+            lp.clear_memo()
+            lp.solve_lp(row)
+            # A second objective makes the memo keep phase 1.
+            lp.solve_lp(with_objective(row, [1.0, 1.0, 1.0, 1.0]))
+            sol = lp.solve_lp(other)
+            assert sol.status == lp.OPTIMAL
+            assert not sol.phase1_reused and not sol.answer_reused
+            assert fingerprint(sol) == fingerprint(fresh_solve(other))
+
+    def test_constraint_data_one_ulp_or_zero_sign_away_misses(self):
+        # TestAnswerMemo checks the objective; this checks the constraint side.
+        base = lp.LpProblem([1.0, 0.0, 2.0], [[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0]], [lp.LEQ, lp.LEQ],
+                            [3.0, 1.0], 0.0, 2.0)
+        variants = [
+            lp.LpProblem(base.objective, base.A, base.relations, [3.0, np.nextafter(1.0, 2.0)], base.lower, base.upper),
+            lp.LpProblem(base.objective, [[1.0, 1.0, 1.0], [-1.0, 1.0, -0.0]], base.relations, base.rhs, 0.0, 2.0),
+            lp.LpProblem(base.objective, base.A, base.relations, base.rhs, [0.0, -0.0, 0.0], base.upper),
+            lp.LpProblem(base.objective, base.A, base.relations, base.rhs, 0.0, [2.0, 2.0, np.nextafter(2.0, 3.0)]),
+        ]
+        for problem in variants:
+            lp.clear_memo()
+            lp.solve_lp(base)
+            lp.solve_lp(with_objective(base, [0.5, 1.0, 1.0]))
+            sol = lp.solve_lp(problem)
+            assert not sol.phase1_reused and not sol.answer_reused
+            assert fingerprint(sol) == fingerprint(fresh_solve(problem))
 
 
 class TestAnswerMemo:
@@ -861,11 +917,13 @@ class TestAnswerMemo:
                 assert fingerprint(sol) == fingerprint(fresh_solve(copy))
 
     def test_budget_holds_and_least_recently_used_go_first(self, monkeypatch):
-        # A model of the policy: entries in use order, each with its
-        # objectives in use order, dropped oldest first until the recounted
-        # total fits the budget.  W1 primals of one size have equal A and
-        # entries of their own that share one copy of it; second and third
-        # objectives add phase-1 results and hits.
+        # A model of the policy: items in use order, dropped oldest first
+        # until the recounted total fits the budget.  A lookup makes the
+        # constraint item the newest, and an answer hit then its answer; a
+        # miss files None for a new constraint set, or phase 1 for one seen
+        # with one objective, then its answer.  Second and third objectives
+        # add phase-1 results and hits, and W1 primals of one space add
+        # items that share their A and nothing else.
         rng = np.random.default_rng(89)
         pool = [TestSolutionContracts._random_problem(rng) for _ in range(10)]
         pool += [with_objective(p, rng.normal(size=p.n_vars)) for p in pool[:4] for _ in range(2)]
@@ -880,60 +938,55 @@ class TestAnswerMemo:
         pool += recorded
         monkeypatch.setattr(lp, "_MEMO_BUDGET", 2_500)
         lp.clear_memo()
-        model, phased, own, hits, phase1_hits, drops, shared_drops = {}, set(), {}, 0, 0, 0, 0
+        model, own, hits, phase1_hits, drops = collections.OrderedDict(), {}, 0, 0, 0
         for i in rng.integers(0, len(pool), size=300):
-            key, cost = lp._memo_key(pool[i]), pool[i].objective.tobytes()
-            costs = model.pop(key, None)
-            hit = costs is not None and cost in costs
+            constraints, whole = lp._memo_keys(pool[i])
+            hit, start = whole in model, model.get(constraints)
             sol = lp.solve_lp(pool[i])
             assert sol.answer_reused == hit
-            assert sol.phase1_reused == (hit or key in phased)
+            assert sol.phase1_reused == (hit or start == "phase 1")
             hits += hit
             phase1_hits += sol.phase1_reused and not hit
-            if costs is not None and not hit:
-                phased.add(key)
-            model[key] = [c for c in costs or [] if c != cost] + [cost]
-            held = entries_held()
+            if start is not None:
+                model.move_to_end(constraints)
+            if not hit and start != "phase 1":
+                model.pop(constraints, None)
+                model[constraints] = "none" if start is None else "phase 1"
+            model.pop(whole, None)
+            model[whole] = "answer"
+            held = memo_held()
             assert held == lp._memo_held <= lp._MEMO_BUDGET
             # The policy kept the most recently used suffix of the model's
-            # order with every answer, and stopped dropping as soon as the
-            # total fit: the last entry dropped, with its A if no kept key
-            # shares it, would not have fit.
+            # order, each item of the kind the model says, and stopped
+            # dropping as soon as the total fit: the last item dropped would
+            # not have fit.
             kept = list(lp._memo)
             order = list(model)
             assert kept == order[len(order) - len(kept):]
-            assert all(list(entry[1]) == model[k] for k, entry in lp._memo.items())
+            assert [item_kind(item) for item in lp._memo.values()] == [model[key] for key in kept]
             if len(kept) < len(order):
                 dropped = order[: len(order) - len(kept)]
-                last = dropped[-1]
-                freed = own[last]
-                if all(k[1] != last[1] for k in kept):
-                    freed += len(last[1]) // 8
-                else:
-                    shared_drops += 1
-                assert held + freed > lp._MEMO_BUDGET
+                assert held + own[dropped[-1]] > lp._MEMO_BUDGET
                 drops += len(dropped)
-                for k in dropped:
-                    del model[k]
-                    phased.discard(k)
-            own.update((k, entry[2]) for k, entry in lp._memo.items())
-        assert hits > 20 and phase1_hits > 5 and drops > 20 and shared_drops > 5
-        # An entry that cannot fit the budget alone is not kept: without
-        # rows, its key holds 20 numbers and its answer 148.
+                for key in dropped:
+                    del model[key]
+            own.update((key, item_held(item)) for key, item in lp._memo.items())
+        assert hits > 20 and phase1_hits > 5 and drops > 20
+        # An item that cannot fit the budget alone is not kept: each counts
+        # _ITEM_OVERHEAD = 128 numbers and its arrays.
         monkeypatch.setattr(lp, "_MEMO_BUDGET", 100)
         lp.clear_memo()
         big = lp.LpProblem(-np.ones(10), np.zeros((0, 10)), [], [], 0.0)
-        assert lp._memo_key(big) is not None
+        assert lp._memo_keys(big) is not None
         lp.solve_lp(big)
         assert not lp._memo and lp._memo_held == 0
         assert not lp.solve_lp(big).answer_reused
 
-
-    def test_entry_alone_over_budget_sheds_its_oldest_answers(self, monkeypatch):
+    def test_phase1_in_use_outlives_older_answers(self, monkeypatch):
         # The W1 duals of one space share one constraint set, as the VAML
-        # duals of a long fit do.  Once that entry alone passes the budget,
-        # its least recently used answers go one at a time; its phase 1 and
-        # its newer answers stay.
+        # duals of a long fit do.  Every solve makes its phase-1 item the
+        # newest but one, so under a budget that holds a few answers the
+        # oldest answers go one by one and phase 1 stays.
         rng = np.random.default_rng(97)
         space = suites.random_metric_space(rng, 5, "plane")
         recorded = []
@@ -946,60 +999,30 @@ class TestAnswerMemo:
             transport.wasserstein_dual(mu1, mu2, space, 1.0)
         monkeypatch.setattr(lp, "solve_lp", solve)
         primal, duals = recorded[0], recorded[1:]
-        key = lp._memo_key(duals[0])
-        assert all(lp._memo_key(d) == key for d in duals)
-        expected = {d.objective.tobytes(): fingerprint(fresh_solve(d)) for d in duals}
+        constraints = lp._memo_keys(duals[0])[0]
+        assert all(lp._memo_keys(d)[0] == constraints for d in duals)
+        expected = [fingerprint(fresh_solve(d)) for d in duals]
         monkeypatch.setattr(lp, "_MEMO_BUDGET", 1_500)
         lp.clear_memo()
         lp.solve_lp(primal)
-        costs = []
-        for dual in duals:
+        answers = [lp._memo_keys(d)[1] for d in duals]
+        for k, dual in enumerate(duals):
             sol = lp.solve_lp(dual)
-            assert sol.phase1_reused == (len(costs) >= 2)
-            costs.append(dual.objective.tobytes())
-            assert entries_held() == lp._memo_held <= lp._MEMO_BUDGET
-        # The primal entry went first; the dual entry kept its phase 1 and
-        # the newest answers, and one more would not have fit.
-        ((stored, (start, answers, _)),) = lp._memo.items()
-        assert stored == key and start is not None and start.tab is not None
-        kept = list(answers)
-        assert 4 <= len(kept) < len(costs) - 2 and kept == costs[len(costs) - len(kept):]
-        shed = duals[len(costs) - len(kept) - 1]
-        held = lp._memo_held
-        assert held + answer_held(shed.objective.tobytes(), lp.solve_lp(shed)) > lp._MEMO_BUDGET
-        # That solve reused phase 1 and shed the oldest answer for its own.
-        assert list(lp._memo[key][1]) == kept[1:] + [costs[len(costs) - len(kept) - 1]]
-        # A hit makes an answer the most recently used: two misses then
-        # shed the two answers after it.
-        refreshed = duals[costs.index(kept[1])]
-        assert lp.solve_lp(refreshed).answer_reused
-        misses = [d for d in duals if d.objective.tobytes() not in lp._memo[key][1]][:2]
-        for dual in misses:
-            sol = lp.solve_lp(dual)
-            assert sol.phase1_reused and not sol.answer_reused
-            assert fingerprint(sol) == expected[dual.objective.tobytes()]
-        answers = list(lp._memo[key][1])
-        assert answers[-3:] == [kept[1]] + [d.objective.tobytes() for d in misses]
-        assert kept[2] not in answers and kept[3] not in answers
-        assert entries_held() == lp._memo_held <= lp._MEMO_BUDGET
-
-    def test_w1_primals_of_one_size_share_one_copy_of_A(self, monkeypatch):
-        # 400 distinct n = 6 primals, each about 310 numbers besides their
-        # common A of 432, fit the default budget only because A is counted
-        # once: a second cyclic sweep answers every one from the memo.
-        rng = np.random.default_rng(101)
-        space = suites.random_metric_space(rng, 6, "plane")
-        recorded = []
-        solve = lp.solve_lp
-        monkeypatch.setattr(lp, "solve_lp", lambda p: recorded.append(p) or solve(p))
-        for _ in range(400):
-            mu1, mu2 = suites.random_distribution(rng, 6), suites.random_distribution(rng, 6)
-            transport.wasserstein_primal(mu1, mu2, space)
-        monkeypatch.setattr(lp, "solve_lp", solve)
-        assert len(lp._memo) == 400 and len(lp._memo_A) == 1
-        assert 399 * len(recorded[0].A.tobytes()) // 8 + entries_held() > lp._MEMO_BUDGET
-        assert entries_held() == lp._memo_held <= lp._MEMO_BUDGET
-        assert all(lp.solve_lp(p).answer_reused for p in recorded)
+            assert sol.phase1_reused == (k >= 2)
+            assert fingerprint(sol) == expected[k]
+            assert memo_held() == lp._memo_held <= lp._MEMO_BUDGET
+        kept = list(lp._memo)
+        assert isinstance(lp._memo[constraints], lp._Phase1) and kept[-2] == constraints
+        kept.remove(constraints)
+        # The primal's items went first; the newest dual answers stay.
+        assert 4 <= len(kept) < len(duals) - 2 and kept == answers[len(answers) - len(kept):]
+        # A hit makes an answer the newest: two misses then drop the two after it.
+        assert lp.solve_lp(duals[-len(kept)]).answer_reused
+        lp.solve_lp(with_objective(duals[0], -duals[0].objective))
+        lp.solve_lp(with_objective(duals[0], 2.0 * duals[0].objective))
+        left = [key for key in lp._memo if key != constraints]
+        assert answers[-len(kept)] in left
+        assert answers[-len(kept) + 1] not in left and answers[-len(kept) + 2] not in left
 
 
 class TestBlockPivot:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -392,10 +394,14 @@ class TestGvi:
         for bad in (0, -1):
             with pytest.raises(ValueError, match="max_iter: must be at least 1"):
                 gvi(mdp, MAX, max_iter=bad)
+        for bad in (True, np.True_):
+            with pytest.raises(ValueError, match=rf"^max_iter: must be a number, not a bool, got {re.escape(repr(bad))}$"):
+                gvi(mdp, MAX, max_iter=bad)
 
-    @pytest.mark.parametrize("delta", [0.0, -1e-10, float("inf"), float("nan")])
+    @pytest.mark.parametrize("delta", [0.0, -1e-10, float("inf"), float("nan"), True, np.True_])
     def test_delta_must_be_positive_and_finite(self, delta):
-        with pytest.raises(ValueError, match=f"delta: must be positive and finite, got {delta!r}"):
+        rule = "a number, not a bool" if isinstance(delta, (bool, np.bool_)) else "positive and finite"
+        with pytest.raises(ValueError, match=rf"^delta: must be {rule}, got {re.escape(repr(delta))}$"):
             gvi(self_loop_mdp(1.0, 0.9), MAX, delta=delta)
 
     def test_max_iter_exceeded_raises_with_diff(self):

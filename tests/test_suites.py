@@ -223,6 +223,19 @@ class TestSettings:
                 for suite in suites.SUITES
                 for tol in (float("nan"), -1.0, float("inf"))
             ),
+            # A bool is no number, though Python compares it as 0 or 1.
+            *(
+                (suite, {key: value}, f"{key}: must be a number, not a bool, got {value!r}")
+                for suite, keys in (
+                    ("duality", ("seed", "trials", "max_states", "tol")),
+                    ("equivalence", ("trials", "max_states", "max_actions", "tol")),
+                    ("theorem", ("trials", "delta", "tol", "recursion_tol")),
+                    ("operators", ("tol",)),
+                    ("lemmas", ("trials", "chain_trials", "tol")),
+                )
+                for key in keys
+                for value in (True, np.False_)
+            ),
         ],
     )
     def test_bad_setting_raises_before_any_draw(self, monkeypatch, suite, settings, message):

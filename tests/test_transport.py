@@ -45,7 +45,6 @@ class TestDistribution:
     def test_point_mass_uniform_weights(self):
         assert Distribution.point_mass(3, 1).p[1] == 1.0
         assert Distribution.uniform(4).p[0] == 0.25
-        assert Distribution.from_weights([2.0, 2.0]).p[0] == 0.5
 
 
 class TestCoupling:
