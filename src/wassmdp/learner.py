@@ -39,9 +39,10 @@ class TrainingDivergedError(RuntimeError):
 
 
 def _softmax(z, axis=-1):
-    shifted = z - z.max(axis=axis, keepdims=True)
-    ez = np.exp(shifted)
-    return ez / ez.sum(axis=axis, keepdims=True)
+    # A logit gap past the largest float gives exp(-inf) = 0; an infinite logit a NaN row no loss takes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ez = np.exp(z - z.max(axis=axis, keepdims=True))
+        return ez / ez.sum(axis=axis, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,9 +341,8 @@ def fit_model(
     mdp: FiniteMdp,
     kind: LossKind,
     config: FitConfig = FitConfig(),
-    init_model=None,
 ) -> TrainReport:
-    """Gradient descent on model logits under the chosen loss.
+    """Gradient descent on model logits drawn from ``config.seed``, under the chosen loss.
 
     KL uses its analytic gradient; the LP-valued losses use central
     finite differences, which stay affordable because every LP involved
@@ -351,13 +351,12 @@ def fit_model(
     nonincreasing; when no decrease is possible the fit stops early.
     The planning gap compares the optimal values of the true MDP with the
     true-MDP values of the policy that is greedy for the learned model.
+    A non-finite starting loss raises ``TrainingDivergedError`` at iteration 0.
     """
     check_fit_settings(mdp, config)
     rng = np.random.default_rng(config.seed)
     n, m = mdp.n_states, mdp.n_actions
-    if init_model is not None:
-        model = init_model
-    elif config.model_rank is None:
+    if config.model_rank is None:
         model = ModelParams(rng.normal(0.0, _INIT_SCALE, size=(n, m, n)))
     else:
         k = int(config.model_rank)
@@ -383,7 +382,8 @@ def fit_model(
         step = config.step_size
         accepted = None
         for _ in range(40):
-            candidate = model.with_flat(vec - step * grad)
+            with np.errstate(over="ignore"):  # infinite logits give a NaN loss, which halves the step
+                candidate = model.with_flat(vec - step * grad)
             cand_loss = _summed_loss(mdp, kind, c, candidate)
             if np.isfinite(cand_loss) and cand_loss <= loss + 1e-12:
                 accepted = (candidate, cand_loss)

@@ -1,9 +1,10 @@
 """Dense two-phase simplex solver for small linear programs.
 
-Maximizes ``objective @ x`` subject to ``A @ x (relations) rhs`` row by
-row and ``lower <= x <= upper``, all given as arrays.  It takes the two
-shapes the W1 programs pose: rows are "<=" or "==", every lower bound is
-finite and every upper bound finite or +inf.  The standard form shifts
+Maximizes ``objective @ x`` subject to ``A @ x (relation) rhs`` and
+``lower <= x <= upper``, all given as arrays.  It takes the two shapes
+the W1 programs pose: one relation for every row, "<=" (the potential
+dual) or "==" (the coupling primal), every lower bound finite and every
+upper bound finite or +inf.  The standard form shifts
 each variable by its lower bound to u >= 0, adds a "<=" row per finite
 upper bound and negates the rows whose right-hand side is negative;
 phase 1 drives the artificial variables of the "==" and negated rows
@@ -55,7 +56,7 @@ Standardization, the tableau build and phase 1 read only the constraint
 data, never the objective, and a basis that phase 1 finds stays feasible
 for any cost vector.  A module-level memo, one ordered dict in least
 recently used order, keeps flat items under SHA-256 digests: of ``A``'s
-shape and the bytes of ``A``, ``relations``, ``rhs``, ``lower`` and
+shape, the relation and the bytes of ``A``, ``rhs``, ``lower`` and
 ``upper`` for a constraint set, and of all that and the objective's
 bytes for an LP, so one ulp or a -0.0 for +0.0 anywhere misses.  Under
 an LP's digest the memo keeps its certified answer: a byte-identical
@@ -122,9 +123,9 @@ class SingularBasisError(ArithmeticError):
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """maximize objective @ x subject to A @ x (relations) rhs, lower <= x <= upper.
+    """maximize objective @ x subject to A @ x (relation) rhs, lower <= x <= upper.
 
-    ``A`` is an (m, n_vars) matrix, ``relations`` holds one code per row,
+    ``A`` is an (m, n_vars) matrix, ``relation`` one code for all its rows,
     "<=" or "==", and ``rhs`` one value per row; a problem without
     constraints has ``A`` of shape (0, n_vars).  A ">=" row is posed as
     the "<=" row of its negation.  ``lower`` and ``upper`` broadcast to
@@ -134,7 +135,7 @@ class LpProblem:
 
     objective: np.ndarray
     A: np.ndarray
-    relations: np.ndarray
+    relation: str
     rhs: np.ndarray
     lower: np.ndarray | float = 0.0
     upper: np.ndarray | float = np.inf
@@ -149,19 +150,14 @@ class LpProblem:
         A = np.array(self.A, dtype=float)
         if A.ndim != 2 or A.shape[1] != nv:
             raise ValueError(f"constraint matrix {A.shape} needs {nv} coefficients per row")
-        rel = np.array(self.relations, dtype=str).ravel()
+        if not (isinstance(self.relation, str) and self.relation in (LEQ, EQ)):
+            raise ValueError(f"relation {self.relation!r} is not '<=' or '=='")
         rhs = np.array(self.rhs, dtype=float).ravel()
-        if rel.shape[0] != A.shape[0] or rhs.shape[0] != A.shape[0]:
-            raise ValueError(
-                f"got {rel.shape[0]} relations and {rhs.shape[0]} right-hand sides "
-                f"for {A.shape[0]} constraint rows"
-            )
+        if rhs.shape[0] != A.shape[0]:
+            raise ValueError(f"got {rhs.shape[0]} right-hand sides for {A.shape[0]} constraint rows")
         bad = np.flatnonzero(~(np.isfinite(A).all(axis=1) & np.isfinite(rhs)))
         if bad.size:
             raise ValueError(f"constraint {bad[0]} contains non-finite coefficients")
-        bad = np.flatnonzero((rel != LEQ) & (rel != EQ))
-        if bad.size:
-            raise ValueError(f"constraint {bad[0]} has relation {str(rel[bad[0]])!r}, not '<=' or '=='")
         lo = np.empty(nv)
         hi = np.empty(nv)
         try:
@@ -176,8 +172,8 @@ class LpProblem:
                 f"bound for variable {bad[0]} is NaN or infinite; a lower bound must be "
                 "finite and an upper bound finite or +inf"
             )
-        names = ("objective", "A", "relations", "rhs", "lower", "upper")
-        for name, value in zip(names, (c, A, rel, rhs, lo, hi)):
+        names = ("objective", "A", "relation", "rhs", "lower", "upper")
+        for name, value in zip(names, (c, A, str(self.relation), rhs, lo, hi)):
             object.__setattr__(self, name, value)
 
     @property
@@ -371,17 +367,18 @@ def _memo_keys(problem):
 
     The size bound counts the problem's A, the standard-form matrix and the
     tableau with a slack on every row but no artificial column, from the
-    problem's shape and bounds alone.  The digests take A's shape first, so
-    two LPs whose arrays run to the same bytes in different shapes differ.
+    problem's shape and bounds alone.  The digests take A's shape and the
+    relation first, so two LPs whose arrays run to the same bytes in
+    different shapes or under different relations differ.
     """
     m0, nv = problem.A.shape
     m = m0 + int(np.count_nonzero(problem.upper < np.inf))
     if m0 * nv + m * nv + (m + 1) * (nv + m + 1) > _MEMO_MAX_ELEMENTS:
         return None
     # LpProblem's arrays are C-contiguous but for A, which keeps the caller's order.
-    digest = hashlib.sha256(str(problem.A.shape).encode())
+    digest = hashlib.sha256(f"{problem.A.shape}{problem.relation}".encode())
     digest.update(np.ascontiguousarray(problem.A))
-    for a in (problem.relations, problem.rhs, problem.lower, problem.upper):
+    for a in (problem.rhs, problem.lower, problem.upper):
         digest.update(a)
     constraints = digest.digest()
     digest.update(problem.objective)
@@ -485,7 +482,7 @@ def _phase1(problem):
     A[np.arange(m0, m), upper_cols] = 1.0
     b[m0:] = (hi - lo)[upper_cols]
     sense = np.ones(m)
-    sense[:m0] = problem.relations == LEQ
+    sense[:m0] = problem.relation == LEQ
     flip = b < 0.0
     A[flip] = -A[flip]
     b[flip] = -b[flip]
@@ -667,7 +664,7 @@ def _solve(problem, start, keep):
 def _certify(problem, x, value, dual_value):
     """Raise ArithmeticError unless x is feasible and the duality gap closes."""
     residual = problem.A @ x - problem.rhs
-    violation = np.where(problem.relations == EQ, np.abs(residual), residual)
+    violation = np.abs(residual) if problem.relation == EQ else residual
     tol = FEASIBILITY_TOL * np.maximum(1.0, np.abs(problem.rhs))
     bad = np.flatnonzero(~(violation <= tol))  # a NaN residual fails too
     if bad.size:

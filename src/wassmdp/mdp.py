@@ -190,7 +190,6 @@ def generate_lipschitz_mdp(
     smoothing: float,
     seed: int,
     *,
-    reward_lipschitz_target: float = 1.0,
     base: str = "walk",
     space_kind: str = "line",
     measure: bool = True,
@@ -201,8 +200,8 @@ def generate_lipschitz_mdp(
     variants available).  Each action's kernel convexly mixes a
     deterministic 1-Lipschitz map with the uniform distribution, weight
     ``smoothing`` toward uniform, which caps K_W at 1 - smoothing.
-    Rewards are drawn in [-1, 1] and rescaled to the target reward
-    Lipschitz constant.  Controlling K_W exactly is hard, so downstream
+    Rewards are drawn in [-1, 1] and rescaled to reward Lipschitz
+    constant 1 (unless all are equal).  Controlling K_W exactly is hard, so downstream
     bound checks use the realized constants the MDP measures, not the
     construction target.  With ``measure`` (the default) both are measured
     before the MDP is returned; without it, on first read.  Deterministic
@@ -237,7 +236,7 @@ def generate_lipschitz_mdp(
     reward = np.clip(reward, -1.0, 1.0)
     k0 = uniform_lipschitz_constant(reward.T, space).constant
     if k0 > 0.0:
-        reward = reward * (reward_lipschitz_target / k0)
+        reward = reward * (1.0 / k0)
 
     out = FiniteMdp(space, reward, transition, gamma)
     if measure:  # the first read measures, so read both as part of generation

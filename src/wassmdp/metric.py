@@ -120,8 +120,11 @@ class MetricSpace:
     @classmethod
     def line(cls, coords, labels=None) -> "MetricSpace":
         """Points on the real line, distance = absolute difference."""
-        x = np.asarray(coords, dtype=float).ravel()
-        d = np.abs(x[:, None] - x[None, :])
+        x = np.asarray(coords, dtype=float)
+        if x.ndim != 1:
+            raise MetricError(f"line coordinates must have shape (n,), got {x.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):  # MetricSpace rejects a non-finite distance
+            d = np.abs(x[:, None] - x[None, :])
         emb = {"kind": "line", "coords": [float(v) for v in x]}
         return cls(d, labels, emb, check_triangle=False)
 
@@ -132,8 +135,11 @@ class MetricSpace:
     @classmethod
     def circle(cls, angles, labels=None) -> "MetricSpace":
         """Points on the unit circle at the given angles, arc-length metric."""
-        t = np.asarray(angles, dtype=float).ravel()
-        delta = np.abs(t[:, None] - t[None, :]) % (2.0 * math.pi)
+        t = np.asarray(angles, dtype=float)
+        if t.ndim != 1:
+            raise MetricError(f"circle angles must have shape (n,), got {t.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):  # MetricSpace rejects a non-finite distance
+            delta = np.abs(t[:, None] - t[None, :]) % (2.0 * math.pi)
         d = np.minimum(delta, 2.0 * math.pi - delta)
         np.fill_diagonal(d, 0.0)
         emb = {"kind": "circle", "coords": [float(v) for v in t]}
@@ -145,8 +151,9 @@ class MetricSpace:
         pts = np.asarray(coords, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise MetricError(f"grid2d coordinates must have shape (n, 2), got {pts.shape}")
-        diff = pts[:, None, :] - pts[None, :, :]
-        d = np.sqrt((diff**2).sum(axis=2))
+        with np.errstate(over="ignore", invalid="ignore"):  # MetricSpace rejects a non-finite distance
+            diff = pts[:, None, :] - pts[None, :, :]
+            d = np.sqrt((diff**2).sum(axis=2))
         emb = {"kind": "grid2d", "coords": [[float(a), float(b)] for a, b in pts]}
         return cls(d, labels, emb, check_triangle=False)
 

@@ -178,13 +178,12 @@ def gvi(
     mdp: FiniteMdp,
     op: BackupOperator,
     delta: float = 1e-10,
-    q0: QFunction | np.ndarray | None = None,
     max_iter: int = 1_000_000,
     in_place: bool = False,
     on_sweep=None,
 ) -> GviResult:
-    """Iterate Q <- R + gamma * T f(Q) until the largest per-entry change
-    in a sweep drops below delta.
+    """Iterate Q <- R + gamma * T f(Q) from Q = 0 until the largest
+    per-entry change in a sweep drops below delta.
 
     Sweeps are synchronous by default: the whole iterate is rebuilt from
     the previous one, which makes the per-sweep Lipschitz recursion exact
@@ -195,12 +194,7 @@ def gvi(
     """
     check_gvi_settings({"delta": delta, "max_iter": max_iter})
     n, m = mdp.n_states, mdp.n_actions
-    if q0 is None:
-        q = np.zeros((n, m))
-    else:
-        q = (q0 if isinstance(q0, QFunction) else QFunction(q0)).q
-        if q.shape != (n, m):
-            raise ValueError(f"q0 has shape {q.shape}, expected {(n, m)}")
+    q = np.zeros((n, m))
     t_flat = mdp.transition.reshape(n * m, n)
     r = mdp.reward
     gamma = mdp.gamma

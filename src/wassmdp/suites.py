@@ -236,11 +236,11 @@ def theorem_suite(
     worst = None
     skipped = []
     for t in range(trials):
-        rng = cell_rng(seed, t)
         if mdps is not None:
             mdp = mdps[t]
             params = {"cell": t, "provided": True}
         else:
+            rng = cell_rng(seed, t)
             n = int(rng.integers(4, 10))
             m = int(rng.integers(1, 4))
             gamma = float(rng.choice([0.7, 0.9, 0.95]))

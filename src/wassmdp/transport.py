@@ -137,15 +137,14 @@ def _frozen(*arrays):
 
 @functools.lru_cache(maxsize=32)
 def _primal_constraints(n):
-    """The coupling LP's marginal rows and relation codes for n points, read-only."""
+    """The coupling LP's marginal rows for n points, read-only."""
     # Row i of the plan sums to mu1[i], column j to mu2[j].
-    marginals = np.vstack([np.repeat(np.eye(n), n, axis=1), np.tile(np.eye(n), n)])
-    return _frozen(marginals, np.array((lp.EQ,) * (2 * n), dtype=str))
+    return _frozen(np.vstack([np.repeat(np.eye(n), n, axis=1), np.tile(np.eye(n), n)]))[0]
 
 
 @functools.lru_cache(maxsize=32)
 def _dual_constraints(n):
-    """The potential LP's pair rows, their points (s1, s2) and relation codes, read-only.
+    """The potential LP's pair rows and their points (s1, s2), read-only.
 
     One row f(s1) - f(s2) <= c * d(s1, s2) per ordered pair of the points
     1..n-1, s1-major (indices count from point 1).
@@ -155,7 +154,7 @@ def _dual_constraints(n):
     pairs = np.zeros((s1.shape[0], n - 1))
     pairs[rows, s1] = 1.0
     pairs[rows, s2] = -1.0
-    return _frozen(pairs, s1, s2, np.array((lp.LEQ,) * rows.shape[0], dtype=str))
+    return _frozen(pairs, s1, s2)
 
 
 def wasserstein_primal(mu1: Distribution, mu2: Distribution, space: MetricSpace):
@@ -168,9 +167,8 @@ def wasserstein_primal(mu1: Distribution, mu2: Distribution, space: MetricSpace)
     n = space.n
     if n == 1:
         return 0.0, Coupling(np.ones((1, 1)), mu1.p, mu2.p)
-    marginals, relations = _primal_constraints(n)
     rhs = np.concatenate([mu1.p, mu2.p])
-    problem = lp.LpProblem(-space.dist.ravel(), marginals, relations, rhs, lower=0.0)
+    problem = lp.LpProblem(-space.dist.ravel(), _primal_constraints(n), lp.EQ, rhs, lower=0.0)
     sol = lp.solve_lp(problem)
     if sol.status != lp.OPTIMAL:
         raise ArithmeticError(f"transport primal LP reported {sol.status}")
@@ -202,13 +200,16 @@ def wasserstein_dual(mu1: Distribution, mu2: Distribution, space: MetricSpace, c
     if n == 1:
         pot = DualPotential(ScalarField(np.zeros(1)), float(c_bound), space)
         return 0.0, pot
+    if not math.isfinite(float(c_bound) * space.dist.max().item()):  # the LP would get an inf
+        raise ArithmeticError(f"c_bound {c_bound!r} times the largest distance "
+                              f"{space.dist.max().item()!r} overflows past the largest float")
     w = mu1.p - mu2.p
     # One row per ordered pair of unpinned points; pairs through the pinned
     # point become box bounds.
-    pairs, s1, s2, relations = _dual_constraints(n)
+    pairs, s1, s2 = _dual_constraints(n)
     rhs = c_bound * space.dist[1:, 1:][s1, s2]
     reach = c_bound * space.dist[0, 1:]
-    problem = lp.LpProblem(w[1:], pairs, relations, rhs, -reach, reach)
+    problem = lp.LpProblem(w[1:], pairs, lp.LEQ, rhs, -reach, reach)
     sol = lp.solve_lp(problem)
     if sol.status != lp.OPTIMAL:
         raise ArithmeticError(f"transport dual LP reported {sol.status}")

@@ -386,6 +386,26 @@ _REJECTED = {
         ("run", "gvi"), {"m.json": _mdp_doc(space={**_LINE, "labels": ["a", "a"]})},
         "space: labels must be distinct, 'a' repeats",
     ),
+    "line_coords_nested": (
+        ("run", "gvi"), {"m.json": _mdp_doc(space={"embedding": {"kind": "line", "coords": [[0.0], [1.0]]}})},
+        "space: line coordinates must have shape (n,), got (2, 1)",
+    ),
+    "circle_coords_nested": (
+        ("run", "gvi"), {"m.json": _mdp_doc(space={"embedding": {"kind": "circle", "coords": [[0.0, 1.0]]}})},
+        "space: circle angles must have shape (n,), got (1, 2)",
+    ),
+    "grid2d_coords_past_the_largest_float": (
+        ("run", "gvi"), {"m.json": _mdp_doc(space={"embedding": {"kind": "grid2d", "coords": [[0.0, 0.0], [1e300, 0.0]]}})},
+        "space: distance matrix contains non-finite entries",
+    ),
+    "line_coords_infinite": (
+        ("run", "gvi"), {"m.json": _mdp_doc(space={"embedding": {"kind": "line", "coords": [0.0, float("inf")]}})},
+        "space: distance matrix contains non-finite entries",
+    ),
+    "circle_coords_infinite": (
+        ("run", "gvi"), {"m.json": _mdp_doc(space={"embedding": {"kind": "circle", "coords": [0.0, float("-inf")]}})},
+        "space: distance matrix contains non-finite entries",
+    ),
     "labels_object": (
         ("run", "gvi"), {"m.json": _mdp_doc(space={**_LINE, "labels": {"a": 0, "b": 1}})},
         "space: labels must be a list of 2 strings, got dict",
@@ -532,6 +552,23 @@ class TestRuntimeErrors:
         assert code == 1
         assert capsys.readouterr().err == f"error: {lp._OVERFLOW}\n"
         assert "overflowed" in lp._OVERFLOW
+        assert not out.exists()
+
+    def test_overflowing_vaml_radius_exit_1(self, tmp_path, capsys):
+        # The radius times a distance of the 4-state line is past the
+        # largest float, so no dual LP can be posed.
+        mdp = tmp_path / "m.json"
+        assert run_cli("gen-mdp", "--states", "4", "--seed", "3", "--out", str(mdp)) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, "c.json", {"mdp": str(mdp), "kind": "vaml:1e308", "iters": 2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("run", "learn", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: c_bound 1e+308 times the largest distance 3.0 overflows past the largest float\n"
+        )
         assert not out.exists()
 
     def test_singular_basis_exit_1(self, tmp_path, capsys, monkeypatch):

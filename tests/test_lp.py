@@ -16,30 +16,30 @@ from wassmdp.mdp import generate_lipschitz_mdp
 INF = np.inf
 
 
-def solve(objective, A, relations, rhs, lower=0.0, upper=INF):
-    return lp.solve_lp(lp.LpProblem(objective, A, relations, rhs, lower, upper))
+def solve(objective, A, relation, rhs, lower=0.0, upper=INF):
+    return lp.solve_lp(lp.LpProblem(objective, A, relation, rhs, lower, upper))
 
 
 class TestBasics:
     def test_single_variable_box(self):
-        sol = solve([1.0], [[1.0]], [lp.LEQ], [3.0], lower=0.0)
+        sol = solve([1.0], [[1.0]], lp.LEQ, [3.0], lower=0.0)
         assert sol.status == lp.OPTIMAL
         assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
 
     def test_two_variable_simplex_face(self):
-        sol = solve([1.0, 1.0], [[1.0, 1.0]], [lp.LEQ], [1.0], lower=0.0)
+        sol = solve([1.0, 1.0], [[1.0, 1.0]], lp.LEQ, [1.0], lower=0.0)
         assert sol.status == lp.OPTIMAL
         assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
     def test_bounds_only_problem(self):
-        sol = solve([2.0, -1.0], np.zeros((0, 2)), [], [], [0.0, 1.0], [5.0, 4.0])
+        sol = solve([2.0, -1.0], np.zeros((0, 2)), lp.LEQ, [], [0.0, 1.0], [5.0, 4.0])
         assert sol.status == lp.OPTIMAL
         assert sol.x[0] == pytest.approx(5.0)
         assert sol.x[1] == pytest.approx(1.0)
 
     def test_equality_constraint(self):
-        sol = solve([1.0, 2.0], [[1.0, 1.0]], [lp.EQ], [2.0], lower=0.0)
+        sol = solve([1.0, 2.0], [[1.0, 1.0]], lp.EQ, [2.0], lower=0.0)
         assert sol.status == lp.OPTIMAL
         assert sol.x[1] == pytest.approx(2.0, abs=1e-9)
         assert sol.objective_value == pytest.approx(4.0, abs=1e-9)
@@ -47,7 +47,7 @@ class TestBasics:
     def test_negative_rhs_normalization(self):
         # x >= 4 as -x <= -4: the row is negated to b >= 0, with a slack of
         # sign -1 and an artificial.
-        sol = solve([-1.0], [[-1.0]], [lp.LEQ], [-4.0])
+        sol = solve([-1.0], [[-1.0]], lp.LEQ, [-4.0])
         assert sol.status == lp.OPTIMAL
         assert sol.x[0] == pytest.approx(4.0, abs=1e-9)
         assert sol.pivots == (1, 0)
@@ -56,25 +56,25 @@ class TestBasics:
 class TestStatuses:
     def test_infeasible_rows(self):
         # x <= 1 and x >= 2, the latter as -x <= -2.
-        sol = solve([1.0], [[1.0], [-1.0]], [lp.LEQ, lp.LEQ], [1.0, -2.0])
+        sol = solve([1.0], [[1.0], [-1.0]], lp.LEQ, [1.0, -2.0])
         assert sol.status == lp.INFEASIBLE
         assert sol.x is None
 
     def test_infeasible_crossed_bounds(self):
-        sol = solve([1.0], np.zeros((0, 1)), [], [], 2.0, 1.0)
+        sol = solve([1.0], np.zeros((0, 1)), lp.LEQ, [], 2.0, 1.0)
         assert sol.status == lp.INFEASIBLE
-        sol = solve([1.0, 1.0], [[1.0, 1.0]], [lp.LEQ], [5.0], [0.0, 2.0], [1.0, 1.0])
+        sol = solve([1.0, 1.0], [[1.0, 1.0]], lp.LEQ, [5.0], [0.0, 2.0], [1.0, 1.0])
         assert sol.status == lp.INFEASIBLE
 
     def test_no_constraint_rows(self):
-        sol = solve([0.0, 0.0], np.zeros((0, 2)), [], [])
+        sol = solve([0.0, 0.0], np.zeros((0, 2)), lp.LEQ, [])
         assert sol.status == lp.OPTIMAL
         assert np.array_equal(sol.x, [0.0, 0.0])
-        assert solve([0.0, 1.0], np.zeros((0, 2)), [], [], upper=[3.0, INF]).status == lp.UNBOUNDED
+        assert solve([0.0, 1.0], np.zeros((0, 2)), lp.LEQ, [], upper=[3.0, INF]).status == lp.UNBOUNDED
 
     def test_unbounded(self):
         # x >= 1 as -x <= -1, and nothing bounds x above.
-        sol = solve([1.0], [[-1.0]], [lp.LEQ], [-1.0])
+        sol = solve([1.0], [[-1.0]], lp.LEQ, [-1.0])
         assert sol.status == lp.UNBOUNDED
         assert sol.x is None
 
@@ -82,37 +82,37 @@ class TestStatuses:
 class TestMalformedInput:
     def test_nan_objective(self):
         with pytest.raises(ValueError, match="non-finite"):
-            lp.LpProblem([np.nan], np.zeros((0, 1)), [], [])
+            lp.LpProblem([np.nan], np.zeros((0, 1)), lp.LEQ, [])
 
     def test_nan_constraint(self):
         with pytest.raises(ValueError, match="constraint 1 contains non-finite"):
-            lp.LpProblem([1.0], [[1.0], [np.nan]], [lp.LEQ, lp.LEQ], [1.0, 1.0])
+            lp.LpProblem([1.0], [[1.0], [np.nan]], lp.LEQ, [1.0, 1.0])
 
     def test_nan_rhs(self):
         with pytest.raises(ValueError, match="constraint 0 contains non-finite"):
-            lp.LpProblem([1.0], [[1.0]], [lp.LEQ], [np.nan])
+            lp.LpProblem([1.0], [[1.0]], lp.LEQ, [np.nan])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="coefficients"):
-            lp.LpProblem([1.0, 2.0], [[1.0]], [lp.LEQ], [1.0])
+            lp.LpProblem([1.0, 2.0], [[1.0]], lp.LEQ, [1.0])
         with pytest.raises(ValueError, match="coefficients"):
-            lp.LpProblem([1.0, 2.0], [1.0, 1.0], [lp.LEQ], [1.0])
+            lp.LpProblem([1.0, 2.0], [1.0, 1.0], lp.LEQ, [1.0])
 
     def test_row_count_mismatch(self):
-        with pytest.raises(ValueError, match="constraint rows"):
-            lp.LpProblem([1.0], [[1.0], [2.0]], [lp.LEQ, lp.LEQ], [1.0])
-        with pytest.raises(ValueError, match="constraint rows"):
-            lp.LpProblem([1.0], [[1.0], [2.0]], [lp.LEQ], [1.0, 1.0])
+        for rhs in ([1.0], [1.0, 1.0, 1.0]):
+            with pytest.raises(ValueError, match=f"got {len(rhs)} right-hand sides for 2 constraint rows"):
+                lp.LpProblem([1.0], [[1.0], [2.0]], lp.LEQ, rhs)
 
     def test_bad_relation(self):
-        for relation in ("<", ""):
-            with pytest.raises(ValueError, match=f"constraint 1 has relation '{relation}', not"):
-                lp.LpProblem([1.0], [[1.0], [1.0]], [lp.LEQ, relation], [1.0, 1.0])
+        # One code for all rows: a code per row is no code.
+        for relation in ("<", "", None, [lp.LEQ, lp.LEQ], np.array([lp.EQ, lp.EQ])):
+            with pytest.raises(ValueError, match=r"relation .* is not '<=' or '=='"):
+                lp.LpProblem([1.0], [[1.0], [1.0]], relation, [1.0, 1.0])
 
     def test_geq_row(self):
         # A ">=" row is posed as the "<=" row of its negation.
-        with pytest.raises(ValueError, match="constraint 1 has relation '>=', not '<=' or '=='"):
-            lp.LpProblem([1.0], [[1.0], [1.0]], [lp.LEQ, ">="], [1.0, 1.0])
+        with pytest.raises(ValueError, match="relation '>=' is not '<=' or '=='"):
+            lp.LpProblem([1.0], [[1.0], [1.0]], ">=", [1.0, 1.0])
 
     @pytest.mark.parametrize(
         "lower, upper",
@@ -120,11 +120,11 @@ class TestMalformedInput:
     )
     def test_nan_or_misplaced_infinite_bound(self, lower, upper):
         with pytest.raises(ValueError, match="bound for variable 1"):
-            lp.LpProblem([1.0, 1.0], np.zeros((0, 2)), [], [], lower, upper)
+            lp.LpProblem([1.0, 1.0], np.zeros((0, 2)), lp.LEQ, [], lower, upper)
 
     def test_wrong_bound_count(self):
         with pytest.raises(ValueError, match="bound"):
-            lp.LpProblem([1.0, 1.0], np.zeros((0, 2)), [], [], lower=[0.0, 0.0, 0.0])
+            lp.LpProblem([1.0, 1.0], np.zeros((0, 2)), lp.LEQ, [], lower=[0.0, 0.0, 0.0])
 
 
 # Entries at the edges of the float range: finite ones the LP accepts, and
@@ -141,14 +141,13 @@ def lp_inputs(draw):
     values = draw(st.sampled_from([FINITE, VALUES]))
     objective = draw(st.lists(values, min_size=nv, max_size=nv))
     A = np.array(draw(st.lists(values, min_size=m * nv, max_size=m * nv))).reshape(m, nv)
-    codes = st.sampled_from(["<=", "==", "<=", "==", ">=", "<", ""])
-    relations = draw(st.lists(codes, min_size=m, max_size=m))
+    relation = draw(st.sampled_from(["<=", "==", "<=", "==", ">=", "<", ""]))
     rhs = draw(st.lists(values, min_size=m, max_size=m))
     # A bound is left out (the default), one value, one per variable, or a
     # list of any length, which may not broadcast.
     bound = st.none() | values | st.lists(values, min_size=nv, max_size=nv) | st.lists(values, max_size=5)
     bounds = {name: value for name in ("lower", "upper") if (value := draw(bound)) is not None}
-    return objective, A, relations, rhs, bounds
+    return objective, A, relation, rhs, bounds
 
 
 class TestContract:
@@ -159,21 +158,21 @@ class TestContract:
     @settings(derandomize=True, max_examples=400)
     @given(lp_inputs())
     # Crossed bounds are infeasible, not malformed.
-    @example(([1.0], np.zeros((0, 1)), [], [], {"lower": 2.0, "upper": 1.0}))
+    @example(([1.0], np.zeros((0, 1)), lp.LEQ, [], {"lower": 2.0, "upper": 1.0}))
     # Products past the largest float: rhs - A @ lower is -inf.
-    @example(([1.0], [[1e300]], ["<="], [1.0], {"lower": 1e300}))
+    @example(([1.0], [[1e300]], "<=", [1.0], {"lower": 1e300}))
     # Phase 1 meets a NaN ratio, which ties with no row.
-    @example(([-1e-300, -1e-300], [[-1e300, -1e300]], ["=="], [-1e-300], {"lower": [-1e300, 0.0], "upper": 2.0}))
+    @example(([-1e-300, -1e-300], [[-1e300, -1e300]], "==", [-1e-300], {"lower": [-1e300, 0.0], "upper": 2.0}))
     # The one positive ratio, 1e300 / 1e-9, overflows to inf, so every row ties.
-    @example(([1.0], [[1e-9], [-1.0]], ["<=", "<="], [1e300, 1.0], {}))
+    @example(([1.0], [[1e-9], [-1.0]], "<=", [1e300, 1.0], {}))
     # An objective of 1e300 on x = 1e300 overflows the tableau's cost row.
-    @example(([1e300, 1e300], [[1.0, 1.0]], ["<="], [1e300], {}))
+    @example(([1e300, 1e300], [[1.0, 1.0]], "<=", [1e300], {}))
     def test_builds_or_raises_and_solves_or_raises(self, inputs):
-        objective, A, relations, rhs, bounds = inputs
+        objective, A, relation, rhs, bounds = inputs
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                problem = lp.LpProblem(objective, A, relations, rhs, **bounds)
+                problem = lp.LpProblem(objective, A, relation, rhs, **bounds)
             except ValueError:
                 return
             try:
@@ -232,7 +231,7 @@ class TestTransportationOracle:
                 A[4 + i, i::4] = 1.0
             b = np.concatenate([mu, nu])
             expected = enumerate_vertex_optimum(A, b, cost.ravel())
-            sol = solve(-cost.ravel(), A, [lp.EQ] * 8, b, lower=0.0)
+            sol = solve(-cost.ravel(), A, lp.EQ, b, lower=0.0)
             assert sol.status == lp.OPTIMAL
             assert -sol.objective_value == pytest.approx(expected, abs=1e-9)
 
@@ -250,7 +249,7 @@ class TestGridSearchOracle:
             rows = rng.uniform(-2.0, 2.0, (3, 2))
             rhs = rng.uniform(-0.5, 2.0, 3)
             feasible = np.all(pts @ rows.T <= rhs + 1e-12, axis=1)
-            sol = solve(c, rows, [lp.LEQ] * 3, rhs, 0.0, 1.0)
+            sol = solve(c, rows, lp.LEQ, rhs, 0.0, 1.0)
             if not feasible.any():
                 # the grid can miss a sliver of feasibility, so only the
                 # converse direction is checked
@@ -267,18 +266,13 @@ class TestSolutionContracts:
     def _random_problem(rng, nv=None, nc=None):
         nv = int(rng.integers(2, 6)) if nv is None else nv
         nc = int(rng.integers(1, 6)) if nc is None else nc
-        A = np.empty((nc, nv))
-        relations = []
-        rhs = np.empty(nc)
-        for i in range(nc):  # each row's coefficients, relation and rhs in turn
-            A[i] = rng.normal(size=nv)
-            relation = rng.choice(["<=", ">=", "=="], p=[0.5, 0.3, 0.2])
-            rhs[i] = rng.normal()
-            if relation == ">=":  # posed as the negated "<=" row
-                A[i], rhs[i], relation = -A[i], -rhs[i], lp.LEQ
-            relations.append(relation)
+        # One relation for all rows; a "<=" row with a negative right-hand
+        # side is negated in the standard form and starts on an artificial,
+        # and each upper bound adds a "<=" row that starts on its slack.
+        relation = lp.EQ if rng.random() < 0.2 else lp.LEQ
+        A, rhs = rng.normal(size=(nc, nv)), rng.normal(size=nc)
         upper = rng.uniform(0.5, 3.0, nv)
-        return lp.LpProblem(rng.normal(size=nv), A, relations, rhs, 0.0, upper)
+        return lp.LpProblem(rng.normal(size=nv), A, relation, rhs, 0.0, upper)
 
     def test_feasibility_certified_within_tolerance(self):
         rng = np.random.default_rng(31)
@@ -289,10 +283,10 @@ class TestSolutionContracts:
             if sol.status != lp.OPTIMAL:
                 continue
             found += 1
-            lhs = problem.A @ sol.x
-            rel, rhs = problem.relations, problem.rhs
-            assert np.all(lhs[rel == lp.LEQ] <= rhs[rel == lp.LEQ] + 1e-9)
-            assert np.all(np.abs(lhs - rhs)[rel == lp.EQ] <= 1e-9)
+            residual = problem.A @ sol.x - problem.rhs
+            if problem.relation == lp.EQ:
+                residual = np.abs(residual)
+            assert np.all(residual <= 1e-9)
             assert np.all(sol.x >= problem.lower - 1e-9)
             assert np.all(sol.x <= problem.upper + 1e-9)
             assert sol.objective_value == pytest.approx(
@@ -326,11 +320,11 @@ class TestSolutionContracts:
             assert np.array_equal(a.duals, b.duals)
 
     def test_redundant_equality_row_is_dropped(self):
-        # max -x1 - 2 x2 on x1 + x2 == 2 (stated twice), x1 - x2 <= 1, x >= 0.
-        # By hand: x = (1.5, 0.5), value -2.5, and the prices -1.5 for the
-        # equality and 0.5 for the inequality solve -1 = y1 + y2, -2 = y1 - y2.
+        # max -x1 - 2 x2 on x1 + x2 == 2 (stated twice), x1 - x2 == 1, x >= 0.
+        # By hand: x = (1.5, 0.5), value -2.5, and the prices -1.5 and 0.5 of
+        # the two rows kept solve -1 = y1 + y2, -2 = y1 - y2.
         A = [[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]]
-        sol = solve([-1.0, -2.0], A, [lp.EQ, lp.EQ, lp.LEQ], [2.0, 2.0, 1.0], lower=0.0)
+        sol = solve([-1.0, -2.0], A, lp.EQ, [2.0, 2.0, 1.0], lower=0.0)
         assert sol.status == lp.OPTIMAL
         assert sol.x == pytest.approx([1.5, 0.5], abs=1e-12)
         assert sol.objective_value == pytest.approx(-2.5, abs=1e-12)
@@ -339,29 +333,29 @@ class TestSolutionContracts:
         assert sol.dual_objective_value == pytest.approx(-2.5, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "objective, A, relations, rhs, lower, status, pivots",
+        "objective, A, relation, rhs, lower, status, pivots",
         [
             # No artificials; phase 2 brings x1 in under Bland's rule.
-            ([1.0, 1.0], [[1.0, 1.0]], [lp.LEQ], [1.0], 0.0, lp.OPTIMAL, (0, 1)),
+            ([1.0, 1.0], [[1.0, 1.0]], lp.LEQ, [1.0], 0.0, lp.OPTIMAL, (0, 1)),
             # x1 replaces the artificial, then x2 replaces x1.
-            ([1.0, 2.0], [[1.0, 1.0]], [lp.EQ], [2.0], 0.0, lp.OPTIMAL, (1, 1)),
+            ([1.0, 2.0], [[1.0, 1.0]], lp.EQ, [2.0], 0.0, lp.OPTIMAL, (1, 1)),
             # Phase 1 starts optimal with the artificial basic at level 0;
             # the one pivot is the drive-out that brings x1 in.
-            ([0.0, 0.0], [[-1.0, -1.0]], [lp.EQ], [0.0], 0.0, lp.OPTIMAL, (1, 0)),
+            ([0.0, 0.0], [[-1.0, -1.0]], lp.EQ, [0.0], 0.0, lp.OPTIMAL, (1, 0)),
             # The second row, x >= 2 as -x <= -2, is negated and starts
             # on an artificial.
-            ([1.0], [[1.0], [-1.0]], [lp.LEQ, lp.LEQ], [1.0, -2.0], 0.0, lp.INFEASIBLE, (1, 0)),
-            ([1.0], [[-1.0]], [lp.LEQ], [-1.0], 0.0, lp.UNBOUNDED, (1, 0)),
+            ([1.0], [[1.0], [-1.0]], lp.LEQ, [1.0, -2.0], 0.0, lp.INFEASIBLE, (1, 0)),
+            ([1.0], [[-1.0]], lp.LEQ, [-1.0], 0.0, lp.UNBOUNDED, (1, 0)),
         ],
         ids=["phase-2-only", "both-phases", "drive-out", "infeasible", "unbounded"],
     )
-    def test_pivot_counts_per_phase(self, objective, A, relations, rhs, lower, status, pivots):
-        sol = solve(objective, A, relations, rhs, lower=lower)
+    def test_pivot_counts_per_phase(self, objective, A, relation, rhs, lower, status, pivots):
+        sol = solve(objective, A, relation, rhs, lower=lower)
         assert sol.status == status
         assert sol.pivots == pivots
 
     def test_perturbed_dual_objective_fails_certificate(self, monkeypatch):
-        problem = lp.LpProblem([1.0, 2.0], [[1.0, 1.0]], [lp.EQ], [2.0], 0.0)
+        problem = lp.LpProblem([1.0, 2.0], [[1.0, 1.0]], lp.EQ, [2.0], 0.0)
         sol = lp.solve_lp(problem)
         lp._certify(problem, sol.x, sol.objective_value, sol.dual_objective_value)
         for dual_value in (sol.dual_objective_value + 1e-6, np.nan):
@@ -401,13 +395,13 @@ class TestSolutionContracts:
 
         monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(lp.SingularBasisError, match="final basis matrix is singular"):
-            solve([1.0, 2.0], [[1.0, 1.0]], [lp.EQ], [2.0], lower=0.0)
+            solve([1.0, 2.0], [[1.0, 1.0]], lp.EQ, [2.0], lower=0.0)
         assert issubclass(lp.SingularBasisError, ArithmeticError)
 
     def test_degenerate_problem_terminates(self):
         # many redundant rows through the same vertex
         A = [[1.0, 1.0]] * 6 + [[1.0, 0.0]] * 4
-        sol = solve([1.0, 1.0], A, [lp.LEQ] * 10, [1.0] * 10, lower=0.0)
+        sol = solve([1.0, 1.0], A, lp.LEQ, [1.0] * 10, lower=0.0)
         assert sol.status == lp.OPTIMAL
         assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
@@ -422,12 +416,12 @@ def fingerprint(sol):
 
 def with_objective(problem, objective):
     """The same constraint data under another objective."""
-    return lp.LpProblem(objective, problem.A, problem.relations, problem.rhs, problem.lower, problem.upper)
+    return lp.LpProblem(objective, problem.A, problem.relation, problem.rhs, problem.lower, problem.upper)
 
 
 def without_upper(problem):
     """The same rows on variables bounded below alone, where unbounded LPs occur."""
-    return lp.LpProblem(problem.objective, problem.A, problem.relations, problem.rhs, problem.lower)
+    return lp.LpProblem(problem.objective, problem.A, problem.relation, problem.rhs, problem.lower)
 
 
 def shared_constraint_groups():
@@ -445,9 +439,8 @@ def shared_constraint_groups():
         groups.append([with_objective(base, rng.normal(size=base.n_vars)) for _ in range(4)])
     for group in groups[:30]:
         groups.append([without_upper(p) for p in group])
-    redundant = lp.LpProblem([-1.0, -2.0], [[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]],
-                             [lp.EQ, lp.EQ, lp.LEQ], [2.0, 2.0, 1.0], 0.0)
-    drive_out = lp.LpProblem([0.0, 0.0], [[-1.0, -1.0]], [lp.EQ], [0.0], 0.0)
+    redundant = lp.LpProblem([-1.0, -2.0], [[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]], lp.EQ, [2.0, 2.0, 1.0], 0.0)
+    drive_out = lp.LpProblem([0.0, 0.0], [[-1.0, -1.0]], lp.EQ, [0.0], 0.0)
     for base in (redundant, drive_out):
         groups.append([with_objective(base, c) for c in ([-1.0, -2.0], [1.0, -3.0], [0.0, 0.0], [-2.0, -1.0])])
     recorded = []
@@ -551,9 +544,9 @@ class TestPhase1Memo:
         # One constraint set per status: optimal, phase-1 infeasible and
         # (with x0 unbounded above) unbounded; the flag must follow hits in
         # each.  Each ">=" row is posed as its negated "<=" row.
-        a = lp.LpProblem([1.0, 1.0], [[1.0, 2.0], [-3.0, -1.0]], [lp.LEQ, lp.LEQ], [4.0, -1.0], 0.0, 3.0)
-        b = lp.LpProblem([1.0, -1.0], [[1.0, 1.0], [-1.0, -1.0]], [lp.LEQ, lp.LEQ], [1.0, -2.0], 0.0)
-        c = lp.LpProblem([1.0, 0.0], [[0.0, 1.0]], [lp.LEQ], [1.0])
+        a = lp.LpProblem([1.0, 1.0], [[1.0, 2.0], [-3.0, -1.0]], lp.LEQ, [4.0, -1.0], 0.0, 3.0)
+        b = lp.LpProblem([1.0, -1.0], [[1.0, 1.0], [-1.0, -1.0]], lp.LEQ, [1.0, -2.0], 0.0)
+        c = lp.LpProblem([1.0, 0.0], [[0.0, 1.0]], lp.LEQ, [1.0])
         calls = []
         phase1 = lp._phase1
 
@@ -565,8 +558,8 @@ class TestPhase1Memo:
         sequence = [a, b, c, with_objective(a, [2.0, -1.0]), a, with_objective(b, [0.0, 1.0])]
         sequence += [with_objective(c, [1.0, -1.0]), with_objective(c, [0.0, 1.0]), with_objective(b, [1.0, 0.0])]
         sequence += [with_objective(a, [0.0, 1.0]), with_objective(c, [1.0, 1.0])]
-        sequence += [lp.LpProblem(a.objective, a.A, a.relations, a.rhs + 1e-9, a.lower, a.upper)]
-        sequence += [lp.LpProblem(a.objective, a.A, a.relations, a.rhs, a.lower, a.upper + 0.5)]
+        sequence += [lp.LpProblem(a.objective, a.A, a.relation, a.rhs + 1e-9, a.lower, a.upper)]
+        sequence += [lp.LpProblem(a.objective, a.A, a.relation, a.rhs, a.lower, a.upper + 0.5)]
         solutions = [lp.solve_lp(problem) for problem in sequence]
         assert [sol.status for sol in solutions] == [
             lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED, lp.OPTIMAL, lp.OPTIMAL, lp.INFEASIBLE,
@@ -615,7 +608,6 @@ class TestPhase1Memo:
         edits = [
             lambda p: p.A.__setitem__((0, 1), p.A[0, 1] + 0.25),
             lambda p: p.rhs.__setitem__(0, p.rhs[0] - 0.5),
-            lambda p: p.relations.__setitem__(0, lp.EQ if p.relations[0] != lp.EQ else lp.LEQ),
             lambda p: p.lower.__setitem__(1, -1.0),
             lambda p: p.upper.__setitem__(0, 0.25),
         ]
@@ -630,7 +622,7 @@ class TestPhase1Memo:
                 sol = lp.solve_lp(problem)
                 assert not sol.phase1_reused
                 copy = lp.LpProblem(
-                    problem.objective, problem.A.copy(), problem.relations.copy(),
+                    problem.objective, problem.A.copy(), problem.relation,
                     problem.rhs.copy(), problem.lower.copy(), problem.upper.copy(),
                 )
                 assert fingerprint(sol) == fingerprint(fresh_solve(copy))
@@ -667,7 +659,7 @@ class TestPhase1Memo:
         # exact: 12 numbers of the problem's A, 12 of the standard-form A and
         # 4 x 8 of a tableau with a slack on every row and no artificial.
         # The LP is keyed under a cap of that size and not one less.
-        tight = lp.LpProblem([1.0, 2.0, 0.5, 1.0], rng.uniform(0.1, 1.0, (3, 4)), [lp.LEQ] * 3, [1.0, 2.0, 3.0], 0.0)
+        tight = lp.LpProblem([1.0, 2.0, 0.5, 1.0], rng.uniform(0.1, 1.0, (3, 4)), lp.LEQ, [1.0, 2.0, 3.0], 0.0)
         for cap, stored in ((55, False), (56, True)):
             monkeypatch.setattr(lp, "_MEMO_MAX_ELEMENTS", cap)
             lp.clear_memo()
@@ -753,38 +745,40 @@ class TestPhase1Memo:
 
 class TestMemoKey:
     def test_equal_byte_streams_of_other_shapes_miss(self):
-        # One row over four variables: A, relations, rhs, lower and upper run
-        # to 4 + 1 + 1 + 4 + 4 numbers' bytes, as the bounds of a problem
-        # with no rows over seven variables do; with the objective, to 18,
-        # as the bounds and objective of a rowless problem over six
-        # variables do.  Only the shape tells them apart.
-        row = lp.LpProblem([1.0, 2.0, 0.5, 1.0], [[-2.0, -2.0, -2.0, -2.0]], [lp.LEQ], [1.0], -1.0, 3.0)
-        constraints = [row.A, row.relations, row.rhs, row.lower, row.upper]
+        # One row over five variables: A, rhs, lower and upper run to
+        # 5 + 1 + 5 + 5 numbers' bytes, as the bounds of a problem with no
+        # rows over eight variables do; with the objective, to 21, as the
+        # bounds and objective of a rowless problem over seven variables do.
+        # All three are "<=" problems, so only the shape tells them apart.
+        row = lp.LpProblem([1.0, 2.0, 0.5, 1.0, 1.0], [[-2.0] * 5], lp.LEQ, [1.0], -1.0, 3.0)
+        constraints = [row.A, row.rhs, row.lower, row.upper]
         stream = np.frombuffer(b"".join(a.tobytes() for a in constraints))
-        seven = lp.LpProblem(np.ones(7), np.zeros((0, 7)), [], [], stream[:7], stream[7:])
+        eight = lp.LpProblem(np.ones(8), np.zeros((0, 8)), lp.LEQ, [], stream[:8], stream[8:])
         stream = np.frombuffer(b"".join(a.tobytes() for a in constraints + [row.objective]))
-        six = lp.LpProblem(stream[12:], np.zeros((0, 6)), [], [], stream[:6], stream[6:12])
-        assert lp._memo_keys(seven)[0] != lp._memo_keys(row)[0]
-        assert lp._memo_keys(six)[1] != lp._memo_keys(row)[1]
-        for other in (seven, six):
+        seven = lp.LpProblem(stream[14:], np.zeros((0, 7)), lp.LEQ, [], stream[:7], stream[7:14])
+        assert lp._memo_keys(eight)[0] != lp._memo_keys(row)[0]
+        assert lp._memo_keys(seven)[1] != lp._memo_keys(row)[1]
+        for other in (eight, seven):
             lp.clear_memo()
             lp.solve_lp(row)
             # A second objective makes the memo keep phase 1.
-            lp.solve_lp(with_objective(row, [1.0, 1.0, 1.0, 1.0]))
+            lp.solve_lp(with_objective(row, [1.0] * 5))
             sol = lp.solve_lp(other)
             assert sol.status == lp.OPTIMAL
             assert not sol.phase1_reused and not sol.answer_reused
             assert fingerprint(sol) == fingerprint(fresh_solve(other))
 
     def test_constraint_data_one_ulp_or_zero_sign_away_misses(self):
-        # TestAnswerMemo checks the objective; this checks the constraint side.
-        base = lp.LpProblem([1.0, 0.0, 2.0], [[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0]], [lp.LEQ, lp.LEQ],
+        # TestAnswerMemo checks the objective; this checks the constraint side,
+        # the relation included.
+        base = lp.LpProblem([1.0, 0.0, 2.0], [[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0]], lp.LEQ,
                             [3.0, 1.0], 0.0, 2.0)
         variants = [
-            lp.LpProblem(base.objective, base.A, base.relations, [3.0, np.nextafter(1.0, 2.0)], base.lower, base.upper),
-            lp.LpProblem(base.objective, [[1.0, 1.0, 1.0], [-1.0, 1.0, -0.0]], base.relations, base.rhs, 0.0, 2.0),
-            lp.LpProblem(base.objective, base.A, base.relations, base.rhs, [0.0, -0.0, 0.0], base.upper),
-            lp.LpProblem(base.objective, base.A, base.relations, base.rhs, 0.0, [2.0, 2.0, np.nextafter(2.0, 3.0)]),
+            lp.LpProblem(base.objective, base.A, lp.EQ, base.rhs, base.lower, base.upper),
+            lp.LpProblem(base.objective, base.A, base.relation, [3.0, np.nextafter(1.0, 2.0)], base.lower, base.upper),
+            lp.LpProblem(base.objective, [[1.0, 1.0, 1.0], [-1.0, 1.0, -0.0]], base.relation, base.rhs, 0.0, 2.0),
+            lp.LpProblem(base.objective, base.A, base.relation, base.rhs, [0.0, -0.0, 0.0], base.upper),
+            lp.LpProblem(base.objective, base.A, base.relation, base.rhs, 0.0, [2.0, 2.0, np.nextafter(2.0, 3.0)]),
         ]
         for problem in variants:
             lp.clear_memo()
@@ -814,7 +808,7 @@ class TestAnswerMemo:
         hits = [sol for group in hits for sol in group]
         assert {sol.status for sol in hits} == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
         # Crossed bounds are infeasible before phase 1; that answer is kept too.
-        crossed = lp.LpProblem([1.0, 1.0], [[1.0, 1.0]], [lp.LEQ], [4.0], [0.0, 2.0], [1.0, 1.0])
+        crossed = lp.LpProblem([1.0, 1.0], [[1.0, 1.0]], lp.LEQ, [4.0], [0.0, 2.0], [1.0, 1.0])
         assert fingerprint(lp.solve_lp(crossed)) == fingerprint(lp.solve_lp(crossed))
         assert lp.solve_lp(crossed).answer_reused
 
@@ -838,7 +832,7 @@ class TestAnswerMemo:
             p = pool[i]
             # A new LpProblem from copies: equal bytes, no shared objects.
             problem = lp.LpProblem(
-                p.objective.copy(), p.A.copy(), p.relations.copy(), p.rhs.copy(), p.lower.copy(), p.upper.copy()
+                p.objective.copy(), p.A.copy(), p.relation, p.rhs.copy(), p.lower.copy(), p.upper.copy()
             )
             before = dict(calls)
             sol = lp.solve_lp(problem)
@@ -857,7 +851,7 @@ class TestAnswerMemo:
         assert not lp._memo and lp._memo_held == 0
 
     def test_objective_one_ulp_or_zero_sign_away_misses(self):
-        base = lp.LpProblem([1.0, 0.0, 2.0], [[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0]], [lp.LEQ, lp.LEQ],
+        base = lp.LpProblem([1.0, 0.0, 2.0], [[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0]], lp.LEQ,
                             [3.0, 1.0], 0.0, 2.0)
         variants = [
             [np.nextafter(1.0, 2.0), 0.0, 2.0],
@@ -877,7 +871,7 @@ class TestAnswerMemo:
             assert lp.solve_lp(problem).answer_reused
 
     def test_returned_arrays_are_private_and_writable(self):
-        problem = lp.LpProblem([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [lp.LEQ, lp.LEQ], [2.0, 1.0], 0.0)
+        problem = lp.LpProblem([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], lp.LEQ, [2.0, 1.0], 0.0)
         solutions = [lp.solve_lp(problem) for _ in range(3)]
         expected = fingerprint(solutions[0])
         assert [sol.answer_reused for sol in solutions] == [False, True, True]
@@ -911,7 +905,7 @@ class TestAnswerMemo:
                 assert not sol.answer_reused
                 assert sol.phase1_reused == (k == 0)
                 copy = lp.LpProblem(
-                    problem.objective.copy(), problem.A.copy(), problem.relations.copy(),
+                    problem.objective.copy(), problem.A.copy(), problem.relation,
                     problem.rhs.copy(), problem.lower.copy(), problem.upper.copy(),
                 )
                 assert fingerprint(sol) == fingerprint(fresh_solve(copy))
@@ -976,7 +970,7 @@ class TestAnswerMemo:
         # _ITEM_OVERHEAD = 128 numbers and its arrays.
         monkeypatch.setattr(lp, "_MEMO_BUDGET", 100)
         lp.clear_memo()
-        big = lp.LpProblem(-np.ones(10), np.zeros((0, 10)), [], [], 0.0)
+        big = lp.LpProblem(-np.ones(10), np.zeros((0, 10)), lp.LEQ, [], 0.0)
         assert lp._memo_keys(big) is not None
         lp.solve_lp(big)
         assert not lp._memo and lp._memo_held == 0
@@ -1274,8 +1268,8 @@ def random_family():
     problems += [without_upper(p) for p in problems[:60]]
     none = np.zeros((0, 2))
     problems += [
-        lp.LpProblem([1.0, -1.0], none, [], []),  # unbounded
-        lp.LpProblem([-1.0, -2.0], none, [], []),
+        lp.LpProblem([1.0, -1.0], none, lp.LEQ, []),  # unbounded
+        lp.LpProblem([-1.0, -2.0], none, lp.LEQ, []),
     ]
     return problems
 
@@ -1404,7 +1398,7 @@ def standardize_by_rows(problem):
     upper = [(j, hi - lo) for j, (lo, hi) in enumerate(zip(problem.lower, problem.upper)) if hi < INF]
     rows = [a.copy() for a in problem.A]
     b = list(problem.rhs - problem.A @ problem.lower)
-    sense = [{lp.LEQ: 1.0, lp.EQ: 0.0}[r] for r in problem.relations]
+    sense = [float(problem.relation == lp.LEQ)] * problem.A.shape[0]
     for col, ub in upper:
         row = np.zeros(problem.n_vars)
         row[col] = 1.0
@@ -1427,9 +1421,9 @@ class TestStandardForm:
             lower = rng.uniform(-2.0, 1.0, nv)
             upper = np.where(boxed, rng.uniform(-1.0, 3.0, nv), INF)
             lower[boxed] = np.minimum(lower, upper)[boxed]
-            relations = rng.choice([lp.LEQ, lp.EQ], size=m)
+            relation = rng.choice([lp.LEQ, lp.EQ])
             A, rhs = rng.normal(size=(m, nv)), rng.normal(size=m)
-            problem = lp.LpProblem(rng.normal(size=nv), A, relations, rhs, lower, upper)
+            problem = lp.LpProblem(rng.normal(size=nv), A, relation, rhs, lower, upper)
             start, _ = lp._phase1(problem)
             parts = (start.A, start.b, start.sense, start.q)
             for got, want in zip(parts, standardize_by_rows(problem)):

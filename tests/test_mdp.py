@@ -171,8 +171,9 @@ class TestGenerator:
         assert mixed.measured_kernel_constant <= 0.5 * base.measured_kernel_constant + 1e-9
 
     def test_reward_target_hit(self):
-        mdp = generate_lipschitz_mdp(6, 2, 0.9, 0.3, seed=3, reward_lipschitz_target=2.5)
-        assert mdp.measured_reward_constant == pytest.approx(2.5, rel=1e-12)
+        # Rewards are rescaled to reward Lipschitz constant 1.
+        mdp = generate_lipschitz_mdp(6, 2, 0.9, 0.3, seed=3)
+        assert mdp.measured_reward_constant == pytest.approx(1.0, rel=1e-12)
 
     def test_space_variants(self):
         for kind in ("circle", "grid2d"):

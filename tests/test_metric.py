@@ -65,6 +65,13 @@ class TestMetricSpace:
         with pytest.raises(MetricError):
             MetricSpace.line([1.0, 1.0])
 
+    @pytest.mark.parametrize("build", [MetricSpace.line, MetricSpace.circle])
+    def test_embedding_coordinates_must_be_flat(self, build):
+        for coords in ([[0.0], [1.0], [2.0]], [[0.0, 1.0]], 1.0):
+            with pytest.raises(MetricError, match=r"must have shape \(n,\), got \("):
+                build(coords)
+        assert build([0.0, 1.0, 2.0]).n == 3
+
     def test_triangle_violation_rejected(self):
         d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         with pytest.raises(MetricError, match="triangle"):

@@ -351,26 +351,6 @@ class TestGvi:
 
         gvi(mdp, mellowmax(5.0), on_sweep=check)
 
-    def test_q0_respected(self):
-        mdp = self_loop_mdp(0.5, 0.9)
-        res = gvi(mdp, MAX, q0=np.array([[5.0]]), delta=1e-12)
-        assert res.q.q[0, 0] == pytest.approx(5.0, abs=1e-10)
-
-    @pytest.mark.parametrize("in_place", [False, True])
-    def test_non_finite_q0_rejected_before_the_first_sweep(self, in_place):
-        mdp = generate_lipschitz_mdp(4, 2, 0.9, 0.5, seed=5, measure=False)
-        sweeps = []
-        for bad in (np.nan, np.inf):
-            q0 = np.zeros((4, 2))
-            q0[2, 1] = bad
-            with pytest.raises(ValueError, match="q contains non-finite values"):
-                gvi(mdp, MAX, q0=q0, in_place=in_place, on_sweep=lambda *args: sweeps.append(args))
-        assert not sweeps
-        with pytest.raises(ValueError, match="q must be 2-D"):
-            gvi(mdp, MAX, q0=np.zeros(8))
-        with pytest.raises(ValueError, match=r"q0 has shape \(2, 4\), expected \(4, 2\)"):
-            gvi(mdp, MAX, q0=QFunction(np.zeros((2, 4))))
-
     def test_in_place_mode_agrees(self):
         mdp = generate_lipschitz_mdp(5, 2, 0.9, 0.5, seed=14, measure=False)
         sync = gvi(mdp, MAX, delta=1e-11)

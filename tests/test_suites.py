@@ -158,6 +158,13 @@ class TestTheoremSuite:
         assert rep == theorem_suite(seed=0, trials=1, mdps=[mdp]).to_json_dict()
         assert rep["worst"]["provided"] and rep["pass"]
 
+    def test_given_mdps_draw_no_cell_generator(self, monkeypatch):
+        # A cell's generator only draws the MDP the suite generates.
+        mdps = [generate_lipschitz_mdp(5, 2, 0.9, 0.4, seed=3), stretch_mdp()]
+        expected = theorem_suite(seed=0, trials=2, mdps=mdps).to_json_dict()
+        monkeypatch.setattr(suites, "cell_rng", None)
+        assert theorem_suite(seed=0, trials=2, mdps=mdps).to_json_dict() == expected
+
     def test_empty_mdp_list_rejected(self, monkeypatch):
         # No MDP would mean no trial, and a pass that checked nothing.
         monkeypatch.setattr(suites, "cell_rng", None)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,17 @@ class TestPrimal:
 
 
 class TestDual:
+    def test_radius_past_the_largest_float_raises_without_a_warning(self):
+        # 1e308 times a distance of 2 or 3 is past the largest float: the LP
+        # would get an infinite right-hand side.
+        mu1, mu2 = Distribution([0.5, 0.0, 0.0, 0.5]), Distribution.uniform(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=r"^c_bound 1e\+308 times the largest distance 3.0 overflows"):
+                wasserstein_dual(mu1, mu2, MetricSpace.unit_line(4), 1e308)
+            value, _ = wasserstein_dual(mu1, mu2, MetricSpace.unit_line(4), 1e300)
+        assert value == pytest.approx(0.5e300)  # W1 = 0.5
+
     def test_lp_answer_failing_its_check_is_a_certificate_error(self):
         # Planar points scaled by 2**-25: the dual LP's own potential comes
         # back steeper than the bound allows, and the check says so.
@@ -282,25 +294,24 @@ def test_lp_inputs_match_the_per_call_construction():
             wasserstein_dual(mu1, mu2, space, 1.5)
             primal, dual = recorded
             marginals = np.vstack([np.repeat(np.eye(n), n, axis=1), np.tile(np.eye(n), n)])
-            old = lp.LpProblem(-space.dist.ravel(), marginals, (lp.EQ,) * (2 * n),
-                               np.concatenate([mu1.p, mu2.p]), lower=0.0)
+            old = lp.LpProblem(-space.dist.ravel(), marginals, lp.EQ, np.concatenate([mu1.p, mu2.p]), lower=0.0)
             s1, s2 = np.nonzero(~np.eye(n - 1, dtype=bool))
             rows = np.arange(s1.shape[0])
             pairs = np.zeros((s1.shape[0], n - 1))
             pairs[rows, s1] = 1.0
             pairs[rows, s2] = -1.0
             reach = 1.5 * space.dist[0, 1:]
-            old_dual = lp.LpProblem((mu1.p - mu2.p)[1:], pairs, (lp.LEQ,) * rows.shape[0],
-                                    1.5 * space.dist[1:, 1:][s1, s2], -reach, reach)
+            old_dual = lp.LpProblem((mu1.p - mu2.p)[1:], pairs, lp.LEQ, 1.5 * space.dist[1:, 1:][s1, s2], -reach, reach)
             for new, want in ((primal, old), (dual, old_dual)):
-                for name in ("objective", "A", "relations", "rhs", "lower", "upper"):
+                assert new.relation == want.relation
+                for name in ("objective", "A", "rhs", "lower", "upper"):
                     got, expected = getattr(new, name), getattr(want, name)
                     assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
                     assert got.tobytes() == expected.tobytes()
     finally:
         lp.solve_lp = solve
-    for build in (transport._primal_constraints, transport._dual_constraints):
-        assert all(not a.flags.writeable for a in build(6))
+    for a in (transport._primal_constraints(6), *transport._dual_constraints(6)):
+        assert not a.flags.writeable
 
 
 def test_dual_potential_invariant_enforced():
